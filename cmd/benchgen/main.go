@@ -19,8 +19,8 @@ import (
 	"strings"
 
 	"zpre/internal/cprog"
-	"zpre/internal/encode"
 	"zpre/internal/memmodel"
+	"zpre/internal/pipeline"
 	"zpre/internal/smtlib"
 	"zpre/internal/svcomp"
 )
@@ -102,8 +102,7 @@ func main() {
 				bs = bounds[:1] // identical instances across bounds: dedup
 			}
 			for _, k := range bs {
-				unrolled := cprog.Unroll(b.Program, k, cprog.UnwindAssume)
-				vc, err := encode.Program(unrolled, encode.Options{Model: mm, Width: *width})
+				vc, err := pipeline.Encode(b.Program, pipeline.Options{Model: mm, Width: *width, Unroll: k})
 				if err != nil {
 					fatalf("%s: %v", b.Name, err)
 				}

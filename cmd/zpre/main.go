@@ -50,10 +50,9 @@ import (
 	"zpre/internal/incremental"
 	"zpre/internal/memmodel"
 	"zpre/internal/obs"
+	"zpre/internal/pipeline"
 	"zpre/internal/profiling"
-	"zpre/internal/rg"
 	"zpre/internal/sat"
-	"zpre/internal/smt"
 	"zpre/internal/smtlib"
 	"zpre/internal/telemetry"
 	"zpre/internal/witness"
@@ -133,9 +132,41 @@ func main() {
 		fatalf("%v", err)
 	}
 
+	// SIGINT/SIGTERM cancel the solve cooperatively: the search stops at its
+	// next poll and the verdict comes back UNKNOWN (cancelled) instead of
+	// the process dying mid-solve.
+	ctx, cancelSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancelSignals()
+
+	opts := pipeline.Options{
+		Model:          model,
+		Strategy:       strat,
+		Unroll:         *unroll,
+		Width:          *width,
+		Timeout:        *timeout,
+		MaxDecisions:   *maxDec,
+		MaxMemoryBytes: *maxMemMB << 20,
+		Context:        ctx,
+		Seed:           *seed,
+		StaticPrune:    *prune,
+		Dataflow:       *dfFlag,
+		MHB:            *mhbFlag,
+		RG:             *rgFlag,
+		RGDomain:       *rgDomain,
+		RGPrefilter:    *rgPre,
+		TimePhases:     *stats,
+		Check:          *checkPf,
+	}
+	if (*rgDomain != "" || *rgPre) && !*rgFlag {
+		fatalf("-rg-domain and -rg-prefilter require -rg")
+	}
+	if *rgFlag && (*each || *checkPf) {
+		// VerifyEach needs the full per-assert instance and a proof only
+		// exists when the SMT backend actually ran.
+		fatalf("-rg is not compatible with -each or -proof")
+	}
 	if *dumpSMT != "" || *dumpEOG != "" {
-		unrolled := cprog.Unroll(prog, *unroll, cprog.UnwindAssume)
-		vc, err := encode.Program(unrolled, encode.Options{Model: model, Width: *width})
+		vc, err := pipeline.Encode(prog, opts)
 		if err != nil {
 			fatalf("encode: %v", err)
 		}
@@ -153,39 +184,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *dumpEOG)
 		}
 	}
-
-	// SIGINT/SIGTERM cancel the solve cooperatively: the search stops at its
-	// next poll and the verdict comes back UNKNOWN (cancelled) instead of
-	// the process dying mid-solve.
-	ctx, cancelSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancelSignals()
-
-	verifyOpts := zpre.Options{
-		Model:          model,
-		Strategy:       strat,
-		Unroll:         *unroll,
-		Width:          *width,
-		Timeout:        *timeout,
-		MaxDecisions:   *maxDec,
-		MaxMemoryBytes: *maxMemMB << 20,
-		Context:        ctx,
-		Seed:           *seed,
-		StaticPrune:    *prune,
-		Dataflow:       *dfFlag,
-		MHB:            *mhbFlag,
-		RG:             *rgFlag,
-		RGDomain:       *rgDomain,
-		RGPrefilter:    *rgPre,
-		TimePhases:     *stats,
-	}
-	if (*rgDomain != "" || *rgPre) && !*rgFlag {
-		fatalf("-rg-domain and -rg-prefilter require -rg")
-	}
-	if *rgFlag && (*each || *checkPf) {
-		// VerifyEach needs the full per-assert instance and a proof only
-		// exists when the SMT backend actually ran.
-		fatalf("-rg is not compatible with -each or -proof")
-	}
 	var chromeTr *obs.Trace
 	if *chromeOut != "" {
 		if *each || *increm {
@@ -195,7 +193,7 @@ func main() {
 			Subcategory: "cli", Benchmark: prog.Name,
 			Model: model.String(), Strategy: strat.String(), Bound: *unroll,
 		}.String())
-		verifyOpts.Spans = chromeTr
+		opts.Spans = chromeTr
 	}
 	var sink telemetry.Sink
 	if *traceOut != "" {
@@ -206,37 +204,18 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		verifyOpts.TraceSink = sink
-		verifyOpts.TraceEvery = *traceN
+		opts.TraceSink = sink
+		opts.TraceEvery = *traceN
 	}
 	if *increm {
 		if *each || *checkPf || *traceOut != "" || *prune {
 			fatalf("-incremental is not compatible with -each, -proof, -trace or -prune")
 		}
-		var rgRanges map[string]dataflow.Interval
-		if *rgFlag {
-			res, err := rg.Prove(prog, rg.Options{
-				Model: model, Width: *width, Domain: *rgDomain, Prefilter: *rgPre,
-			})
-			if err != nil {
-				fatalf("rg: %v", err)
-			}
-			if res.Proved {
-				fmt.Printf("%s: SAFE at every bound (rely-guarantee proof, %d fixpoint rounds; no SMT instance solved)\n",
-					prog.Name, res.StabilizeIters)
-				exit(0)
-			}
-			if *stats {
-				fmt.Printf("rely-guarantee: unproven after %d fixpoint rounds; injecting stabilized invariants\n",
-					res.StabilizeIters)
-			}
-			rgRanges = res.Ranges
-		}
-		exit(runIncrementalSweep(prog, model, strat, ctx, *unroll, *width, *timeout, *maxDec, *maxMemMB<<20, *seed, *stats, *witness, *dfFlag, rgRanges))
+		exit(runIncrementalSweep(prog, opts, *stats, *witness))
 	}
 
 	if *each {
-		reps, err := zpre.VerifyEach(prog, verifyOpts)
+		reps, err := zpre.VerifyEach(prog, opts)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -257,11 +236,9 @@ func main() {
 		exit(code)
 	}
 
-	var rep zpre.Report
-	if *checkPf {
-		rep, err = zpre.VerifyWithProof(prog, verifyOpts)
-	} else {
-		rep, err = zpre.Verify(prog, verifyOpts)
+	res, vc, err := pipeline.Run(prog, opts)
+	if err == nil {
+		err = res.CheckErr
 	}
 	if err != nil {
 		fatalf("%v", err)
@@ -278,61 +255,63 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s (open in Perfetto)\n", *chromeOut)
 	}
-	if rep.ProofChecked {
-		fmt.Fprintln(os.Stderr, "refutation proof independently checked: OK")
+	if res.Checked {
+		fmt.Fprintln(os.Stderr, "verdict independently checked: OK")
 	}
 
-	if *witness && rep.Verdict == zpre.Unsafe {
-		printWitness(prog, model, *unroll, *width, *seed)
+	if *witness && res.Status == sat.Sat {
+		if err := printWitness(vc); err != nil {
+			fatalf("%v", err)
+		}
 	}
 
 	fmt.Printf("%s: %s (model=%s strategy=%s unroll=%d, solve %v)\n",
-		prog.Name, verdictStopText(rep.Verdict, rep.Stop), model, strat, *unroll,
-		rep.SolveTime.Round(time.Microsecond))
+		prog.Name, verdictStopText(res.Verdict(), res.Stop), model, strat, *unroll,
+		res.Solve.Round(time.Microsecond))
 	if *stats {
 		fmt.Printf("encoding: %d threads, %d events (%d reads, %d writes), %d rf vars, %d ws vars, %d po edges, %d clauses, %d variables\n",
-			rep.EncodeStats.Threads, rep.EncodeStats.Events, rep.EncodeStats.Reads,
-			rep.EncodeStats.Writes, rep.EncodeStats.RFVars, rep.EncodeStats.WSVars,
-			rep.EncodeStats.POEdges, rep.EncodeStats.Clauses, rep.EncodeStats.Variables)
+			res.VC.Threads, res.VC.Events, res.VC.Reads,
+			res.VC.Writes, res.VC.RFVars, res.VC.WSVars,
+			res.VC.POEdges, res.VC.Clauses, res.VC.Variables)
 		if *prune {
 			fmt.Printf("pruning: %d rf candidates, %d ws pairs dropped by the static analysis\n",
-				rep.EncodeStats.RFPruned, rep.EncodeStats.WSPruned)
+				res.VC.RFPruned, res.VC.WSPruned)
 		}
 		if *dfFlag {
 			fmt.Printf("dataflow: %d rf candidates value-pruned, %d assignments folded, %d hb edges fixed (analysis %v)\n",
-				rep.EncodeStats.ValuePruned, rep.EncodeStats.FoldedAssigns,
-				rep.EncodeStats.FixedHB, rep.EncodeStats.DataflowTime.Round(time.Microsecond))
+				res.VC.ValuePruned, res.VC.FoldedAssigns,
+				res.VC.FixedHB, res.VC.DataflowTime.Round(time.Microsecond))
 		}
 		if *mhbFlag {
 			fmt.Printf("mhb closure: %d rf edges fixed, %d must-fr derived, %d candidates elided\n",
-				rep.EncodeStats.MHBFixedRF, rep.EncodeStats.MHBFixedFR, rep.EncodeStats.MHBPruned)
+				res.VC.MHBFixedRF, res.VC.MHBFixedFR, res.VC.MHBPruned)
 		}
 		if *rgFlag {
 			switch {
-			case rep.RGProved:
+			case res.RGProved:
 				fmt.Printf("rely-guarantee: proved at every bound in %d fixpoint rounds (no SMT instance)\n",
-					rep.RGStabilizeIters)
-			case rep.RGSkippedPrefilter:
+					res.RGStabilizeIters)
+			case res.RGSkippedPrefilter:
 				fmt.Println("rely-guarantee: pre-filter skipped the proof attempt")
 			default:
 				fmt.Printf("rely-guarantee: unproven after %d fixpoint rounds; %d invariant constraints injected\n",
-					rep.RGStabilizeIters, rep.EncodeStats.RGInvariants)
+					res.RGStabilizeIters, res.VC.RGInvariants)
 			}
 		}
 		fmt.Printf("solver: %d decisions, %d propagations (%d theory), %d conflicts (%d theory), %d restarts\n",
-			rep.SolverStats.Decisions, rep.SolverStats.Propagations, rep.SolverStats.TheoryProps,
-			rep.SolverStats.Conflicts, rep.SolverStats.TheoryConfl, rep.SolverStats.Restarts)
+			res.Stats.Decisions, res.Stats.Propagations, res.Stats.TheoryProps,
+			res.Stats.Conflicts, res.Stats.TheoryConfl, res.Stats.Restarts)
 		fmt.Printf("theory: %d asserts, %d conflicts, %d path queries, %d propagations\n",
-			rep.OrderStats.Asserts, rep.OrderStats.Conflicts,
-			rep.OrderStats.PathQueries, rep.OrderStats.Propagations)
-		if t := rep.SearchTimings; t.BCP+t.Theory+t.Analyze+t.Reduce+t.Inprocess > 0 {
+			res.OrderStats.Asserts, res.OrderStats.Conflicts,
+			res.OrderStats.PathQueries, res.OrderStats.Propagations)
+		if t := res.Timings; t.BCP+t.Theory+t.Analyze+t.Reduce+t.Inprocess > 0 {
 			fmt.Printf("phases: bcp %v, theory %v, analyze %v, reduce %v, inprocess %v\n",
 				t.BCP.Round(time.Microsecond), t.Theory.Round(time.Microsecond),
 				t.Analyze.Round(time.Microsecond), t.Reduce.Round(time.Microsecond),
 				t.Inprocess.Round(time.Microsecond))
 		}
 	}
-	switch rep.Verdict {
+	switch res.Verdict() {
 	case zpre.Safe, zpre.UnboundedSafe:
 		exit(0)
 	case zpre.Unsafe:
@@ -342,22 +321,40 @@ func main() {
 	}
 }
 
-// runIncrementalSweep verifies bounds 1..maxBound on one live solver,
-// printing a line per bound. Returns the process exit code, derived from
-// the final bound's verdict.
-func runIncrementalSweep(prog *cprog.Program, model memmodel.Model, strat core.Strategy, ctx context.Context, maxBound, width int, timeout time.Duration, maxDec uint64, maxMem, seed int64, stats, showWitness, dataflow bool, rgRanges map[string]dataflow.Interval) int {
+// runIncrementalSweep verifies bounds 1..opts.Unroll on one live solver,
+// printing a line per bound, after the rg stage when opts.RG is set.
+// Returns the process exit code, derived from the final bound's verdict.
+func runIncrementalSweep(prog *cprog.Program, opts pipeline.Options, stats, showWitness bool) int {
+	var rgRanges map[string]dataflow.Interval
+	if opts.RG {
+		res, err := pipeline.Prove(prog, opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "zpre: rg: %v\n", err)
+			return 2
+		}
+		if res.Proved {
+			fmt.Printf("%s: SAFE at every bound (rely-guarantee proof, %d fixpoint rounds; no SMT instance solved)\n",
+				prog.Name, res.StabilizeIters)
+			return 0
+		}
+		if stats {
+			fmt.Printf("rely-guarantee: unproven after %d fixpoint rounds; injecting stabilized invariants\n",
+				res.StabilizeIters)
+		}
+		rgRanges = res.Ranges
+	}
 	sweep, err := incremental.New(prog, incremental.Options{
-		Model:          model,
-		Strategy:       strat,
-		Width:          width,
-		Timeout:        timeout,
-		MaxDecisions:   maxDec,
-		MaxMemoryBytes: maxMem,
-		Context:        ctx,
-		Seed:           seed,
+		Model:          opts.Model,
+		Strategy:       opts.Strategy,
+		Width:          opts.Width,
+		Timeout:        opts.Timeout,
+		MaxDecisions:   opts.MaxDecisions,
+		MaxMemoryBytes: opts.MaxMemoryBytes,
+		Context:        opts.Context,
+		Seed:           opts.Seed,
 		TimePhases:     stats,
 		CheckWitness:   showWitness,
-		Dataflow:       dataflow,
+		Dataflow:       opts.Dataflow,
 		RGRanges:       rgRanges,
 	})
 	if err != nil {
@@ -365,7 +362,7 @@ func runIncrementalSweep(prog *cprog.Program, model memmodel.Model, strat core.S
 		return 2
 	}
 	last := incremental.Unknown
-	for k := 1; k <= maxBound; k++ {
+	for k := 1; k <= opts.Unroll; k++ {
 		br, err := sweep.Next()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "zpre: incremental k=%d: %v\n", k, err)
@@ -391,18 +388,14 @@ func runIncrementalSweep(prog *cprog.Program, model memmodel.Model, strat core.S
 			es := br.EncodeStats
 			fmt.Printf("  encoding now: %d events, %d rf vars, %d ws vars, %d po edges, %d clauses, %d variables\n",
 				es.Events, es.RFVars, es.WSVars, es.POEdges, es.Clauses, es.Variables)
-			if dataflow {
+			if opts.Dataflow {
 				fmt.Printf("  dataflow: %d rf candidates value-pruned, %d assignments folded\n",
 					es.ValuePruned, es.FoldedAssigns)
 			}
 		}
 		if showWitness && br.Verdict == incremental.Unsafe {
-			steps, werr := witness.Extract(sweep.VC())
-			if werr != nil {
-				fmt.Fprintf(os.Stderr, "zpre: witness: %v\n", werr)
-			} else {
-				fmt.Println("witness interleaving (thread, access, value):")
-				fmt.Print(witness.Format(steps, "  "))
+			if err := printWitness(sweep.VC()); err != nil {
+				fmt.Fprintf(os.Stderr, "zpre: witness: %v\n", err)
 			}
 		}
 		last = br.Verdict
@@ -416,25 +409,16 @@ func runIncrementalSweep(prog *cprog.Program, model memmodel.Model, strat core.S
 	return 2
 }
 
-// printWitness re-solves the instance (the Verify-owned builder is not
-// exposed) and linearises the model's EOG into a concrete interleaving.
-func printWitness(prog *cprog.Program, model memmodel.Model, unroll, width int, seed int64) {
-	unrolled := cprog.Unroll(prog, unroll, cprog.UnwindAssume)
-	vc, err := encode.Program(unrolled, encode.Options{Model: model, Width: width})
-	if err != nil {
-		fatalf("encode: %v", err)
-	}
-	infos := core.Classify(vc.Builder.NamedVars())
-	dec := core.NewDecider(core.ZPRE, infos, core.Config{Seed: seed})
-	if _, err := vc.Builder.Solve(smt.Options{Decider: dec}); err != nil {
-		fatalf("solve: %v", err)
-	}
+// printWitness linearises a solved instance's model into a concrete
+// interleaving.
+func printWitness(vc *encode.VC) error {
 	steps, err := witness.Extract(vc)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	fmt.Println("witness interleaving (thread, access, value):")
 	fmt.Print(witness.Format(steps, "  "))
+	return nil
 }
 
 // runAnalyze implements the analyze subcommand: static race diagnostics

@@ -14,8 +14,8 @@ import (
 	"zpre/internal/cprog"
 	"zpre/internal/encode"
 	"zpre/internal/memmodel"
+	"zpre/internal/pipeline"
 	"zpre/internal/sat"
-	"zpre/internal/smt"
 	"zpre/internal/svcomp"
 	"zpre/internal/witness"
 )
@@ -54,14 +54,7 @@ func main() {
 }
 
 func solve(p *cprog.Program, mm memmodel.Model) (*encode.VC, sat.Status) {
-	unrolled := cprog.Unroll(p, 1, cprog.UnwindAssume)
-	vc, err := encode.Program(unrolled, encode.Options{Model: mm})
-	if err != nil {
-		log.Fatal(err)
-	}
-	infos := core.Classify(vc.Builder.NamedVars())
-	dec := core.NewDecider(core.ZPRE, infos, core.Config{Seed: 11})
-	res, err := vc.Builder.Solve(smt.Options{Decider: dec})
+	res, vc, err := pipeline.Run(p, pipeline.Options{Model: mm, Strategy: core.ZPRE, Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}

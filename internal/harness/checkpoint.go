@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"zpre/internal/core"
+	"zpre/internal/pipeline"
 	"zpre/internal/sat"
 )
 
@@ -123,17 +124,19 @@ func resumeIndex(prev *JSONResults) map[string]JSONRun {
 // is rebuilt as a StatusError so failure classification survives the resume.
 func resumedResult(task Task, strat core.Strategy, jr JSONRun) RunResult {
 	out := RunResult{
-		Task:         task,
-		Strategy:     strat,
-		Status:       parseStatus(jr.Status),
-		Stop:         parseStopReason(jr.StopReason),
-		Solve:        secDur(jr.SolveSec),
-		Encode:       secDur(jr.EncodeSec),
-		Unroll:       secDur(jr.UnrollSec),
-		Checked:      jr.Checked,
-		CheckSkipped: jr.CheckSkipped,
-		Completed:    true,
-		Resumed:      true,
+		Task:     task,
+		Strategy: strat,
+		Result: pipeline.Result{
+			Status:       parseStatus(jr.Status),
+			Stop:         parseStopReason(jr.StopReason),
+			Solve:        secDur(jr.SolveSec),
+			Encode:       secDur(jr.EncodeSec),
+			Unroll:       secDur(jr.UnrollSec),
+			Checked:      jr.Checked,
+			CheckSkipped: jr.CheckSkipped,
+		},
+		Completed: true,
+		Resumed:   true,
 	}
 	out.Incremental = jr.Incremental
 	out.CumulativeSolve = secDur(jr.CumulativeSolveSec)

@@ -9,6 +9,7 @@ import (
 	"zpre/internal/core"
 	"zpre/internal/encode"
 	"zpre/internal/memmodel"
+	"zpre/internal/pipeline"
 	"zpre/internal/sat"
 	"zpre/internal/svcomp"
 	"zpre/internal/telemetry"
@@ -24,10 +25,9 @@ func incRun(bench string, mm memmodel.Model, bound int, vc encode.Stats) RunResu
 			Bound: bound,
 		},
 		Strategy:    core.Baseline,
-		Status:      sat.Unsat,
+		Result:      pipeline.Result{Status: sat.Unsat, VC: vc},
 		Completed:   true,
 		Incremental: true,
-		VC:          vc,
 	}
 }
 

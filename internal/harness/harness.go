@@ -21,19 +21,15 @@ import (
 	"time"
 
 	"zpre/internal/core"
-	"zpre/internal/cprog"
-	"zpre/internal/dataflow"
 	"zpre/internal/encode"
 	"zpre/internal/faultinject"
 	"zpre/internal/memmodel"
 	"zpre/internal/obs"
-	"zpre/internal/order"
+	"zpre/internal/pipeline"
 	"zpre/internal/rg"
 	"zpre/internal/sat"
-	"zpre/internal/smt"
 	"zpre/internal/svcomp"
 	"zpre/internal/telemetry"
-	"zpre/internal/witness"
 )
 
 // Task is one SMT instance: a program at a memory model and unroll bound.
@@ -55,42 +51,19 @@ func RunID(t Task, s core.Strategy) string {
 	return t.ID() + "/" + s.String()
 }
 
-// RunResult is the outcome of solving one task with one strategy.
+// RunResult is the outcome of solving one task with one strategy: the
+// pipeline's per-run record plus the sweep's bookkeeping.
 type RunResult struct {
 	Task     Task
 	Strategy core.Strategy
-	Status   sat.Status
-	Solve    time.Duration
-	Encode   time.Duration
-	// Unroll is the loop-unrolling time (the remaining frontend phase; the
-	// static-analysis share of Encode is VC.StaticTime).
-	Unroll time.Duration
-	// Timings splits Solve across BCP / theory / analyze / reduce
-	// (collected under Config.TimePhases or when tracing is on).
-	Timings sat.SearchTimings
-	// OrderStats are the ordering theory's work counters for this run.
-	OrderStats order.Stats
-	Stats      sat.Stats
-	// VC holds the encoder's formula-size counters (rf/ws variables, clauses,
-	// and — under Config.StaticPrune — how many candidates the static
-	// analysis dropped).
-	VC  encode.Stats
+	pipeline.Result
 	Err error
-	// Stop records why the solver returned Unknown (deadline, budgets,
-	// memout, cancellation); StopNone for a verdict.
-	Stop sat.StopReason
 	// Completed marks a terminal outcome: a verdict, a timeout/memout, a
 	// contained panic or any other error. Only cancelled runs (SIGINT or a
 	// cancelled context) are incomplete — they are what `-resume` re-runs.
 	Completed bool
 	// Resumed marks a run restored from a checkpoint rather than executed.
 	Resumed bool
-	// Checked: the verdict passed independent validation (CheckVerdicts
-	// mode). CheckSkipped: the proof exceeded the checking cap.
-	Checked      bool
-	CheckSkipped bool
-	// CheckErr is a validation failure (a solver bug if it ever happens).
-	CheckErr error
 	// Incremental marks a run solved as one bound of an unroll sweep on a
 	// live solver (Config.Incremental) rather than as a fresh instance.
 	// Stats then hold only this bound's counter increments.
@@ -99,17 +72,6 @@ type RunResult struct {
 	// bound; Cumulative the solver counters since the sweep began.
 	CumulativeSolve time.Duration
 	Cumulative      sat.Stats
-	// RGProved marks a task discharged by the rely-guarantee engine
-	// (Config.RG): the program is safe at every bound, the verdict is unsat
-	// and the SMT backend never ran (zero decisions, zero events).
-	RGProved bool
-	// RGStabilizeIters is the engine's outer fixpoint round count for this
-	// task's (benchmark, model) pair (Config.RG only).
-	RGStabilizeIters int
-	// RGSkippedPrefilter marks a pair the rely-guarantee pre-filter
-	// (Config.RGPrefilter) deemed hopeless: the proof fixpoint never ran
-	// and the SMT backend decided the task alone.
-	RGSkippedPrefilter bool
 }
 
 // Solved reports whether the run finished within budget.
@@ -165,13 +127,11 @@ type Config struct {
 	// Subcategories restricts the corpus (empty = all).
 	Subcategories []string
 	// CheckVerdicts validates every verdict independently: unsat answers by
-	// proof checking (internal/proof; skipped above CheckLearntCap learnt
+	// proof checking (internal/proof; skipped above checkLearntCap learnt
 	// clauses — the naive RUP checker is quadratic), sat answers by witness
 	// schedule validation (internal/witness). Failures land in
 	// RunResult.CheckErr.
 	CheckVerdicts bool
-	// CheckLearntCap bounds proof checking (default 4000 learnt clauses).
-	CheckLearntCap int
 	// StaticPrune drops rf/ws interference candidates the static lockset/MHP
 	// analysis proves infeasible before they reach the solver. The encoding
 	// stays equisatisfiable; RunResult.VC records how many were dropped.
@@ -268,45 +228,50 @@ type Config struct {
 	// lifecycle events, each carrying the stable run id.
 	Logger *slog.Logger
 
-	// rgMemo caches the rely-guarantee result per (benchmark, model) so the
-	// many (bound, strategy) runs of one pair share a single analysis. Set
-	// by fill(); shared across workers via the pointer.
-	rgMemo *rgMemo
+	// rgMemo shares one rely-guarantee result per (benchmark, model) across
+	// the pair's (bound, strategy) runs. Set by fill(); shared across
+	// workers via the pointer.
+	rgMemo *pipeline.RGMemo
 }
 
-// rgMemo is the per-sweep rely-guarantee result cache.
-type rgMemo struct {
-	mu sync.Mutex
-	m  map[string]*rg.Result
-	// hist, when non-nil, receives the engine's prove latency per cache
-	// miss (the "rg_prove_us" registry histogram).
-	hist *telemetry.Histogram
-	// domain and prefilter mirror Config.RGDomain / Config.RGPrefilter.
-	domain    string
-	prefilter bool
+// checkLearntCap bounds proof checking under CheckVerdicts.
+const checkLearntCap = 4000
+
+// options maps the sweep configuration onto one run's pipeline options.
+func (c *Config) options(t Task, s core.Strategy) pipeline.Options {
+	return pipeline.Options{
+		Model:          t.Model,
+		Strategy:       s,
+		Unroll:         t.Bound,
+		Width:          c.Width,
+		RG:             c.RG,
+		RGDomain:       c.RGDomain,
+		RGPrefilter:    c.RGPrefilter,
+		RGMemo:         c.rgMemo,
+		StaticPrune:    c.StaticPrune,
+		Dataflow:       c.Dataflow,
+		MHB:            c.MHB,
+		Seed:           c.Seed,
+		Timeout:        c.Timeout,
+		MaxConflicts:   c.MaxConflicts,
+		MaxDecisions:   c.MaxDecisions,
+		MaxMemoryBytes: c.MaxMemoryBytes,
+		Context:        c.Context,
+		TimePhases:     c.TimePhases,
+		Faults:         c.Faults,
+		FaultLabel:     RunID(t, s),
+		Check:          c.CheckVerdicts,
+		CheckLearntCap: checkLearntCap,
+		TraceEvery:     c.TraceEvery,
+		TraceTask:      t.ID(),
+	}
 }
 
-// get returns the (cached) engine result for one (benchmark, model) pair. A
-// program the engine rejects outright counts as unproven with no ranges.
-func (c *rgMemo) get(b svcomp.Benchmark, model memmodel.Model, width int) *rg.Result {
-	key := b.Subcategory + "/" + b.Name + "@" + model.String()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r, ok := c.m[key]; ok {
-		return r
-	}
-	start := time.Now()
-	r, err := rg.Prove(b.Program, rg.Options{
-		Model: model, Width: width, Domain: c.domain, Prefilter: c.prefilter,
-	})
-	if err != nil {
-		r = &rg.Result{}
-	}
-	if c.hist != nil {
-		c.hist.ObserveDuration(time.Since(start))
-	}
-	c.m[key] = r
-	return r
+// rgResult is the sweep's memoised rely-guarantee result for a task's
+// (benchmark, model) pair; the strategy never reaches the rg stage.
+func (c *Config) rgResult(t Task) *rg.Result {
+	res, _ := pipeline.Prove(t.Bench.Program, c.options(t, core.Baseline)) // memoised: never fails
+	return res
 }
 
 // TraceFileName is the per-run trace file name under Config.TraceDir.
@@ -338,17 +303,15 @@ func (c *Config) fill() {
 	if c.Width == 0 {
 		c.Width = 8
 	}
-	if c.CheckLearntCap == 0 {
-		c.CheckLearntCap = 4000
-	}
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 16
 	}
 	if c.RG && c.rgMemo == nil {
-		c.rgMemo = &rgMemo{m: map[string]*rg.Result{}, domain: c.RGDomain, prefilter: c.RGPrefilter}
+		var hist *telemetry.Histogram
 		if c.Metrics != nil {
-			c.rgMemo.hist = c.Metrics.Histogram("rg_prove_us")
+			hist = c.Metrics.Histogram("rg_prove_us")
 		}
+		c.rgMemo = pipeline.NewRGMemo(hist)
 	}
 }
 
@@ -663,10 +626,11 @@ func RunParallel(cfg Config) *Results {
 	return Run(cfg)
 }
 
-// RunOne encodes and solves a single task with one strategy. Panics anywhere
-// in the pipeline (unrolling, encoding, search, verdict checking) are
-// contained and classified as FailPanic on the returned result, so one
-// pathological instance fails one run, not the process.
+// RunOne runs a single task with one strategy through the verification
+// pipeline (internal/pipeline). Panics anywhere in the pipeline (unrolling,
+// encoding, search, verdict checking) are contained and classified as
+// FailPanic on the returned result, so one pathological instance fails one
+// run, not the process.
 func RunOne(task Task, strat core.Strategy, cfg Config) (out RunResult) {
 	cfg.fill()
 	out = RunResult{Task: task, Strategy: strat}
@@ -675,15 +639,15 @@ func RunOne(task Task, strat core.Strategy, cfg Config) (out RunResult) {
 	if lg := obs.ForRun(cfg.Logger, id); lg != nil {
 		lg.Info("run start", "bound", task.Bound, "strategy", strat.String(), "model", task.Model.String())
 	}
+	opts := cfg.options(task, strat)
 	// The span trace backs both the Chrome export and the v2 JSONL span
 	// records; when neither consumer is configured it stays nil and every
-	// span call below is a single-branch no-op.
-	var tr *obs.Trace
-	var trRoot int
+	// span call in the pipeline is a single-branch no-op.
 	if cfg.Chrome != nil || cfg.TraceDir != "" {
-		tr = obs.NewTrace(id)
-		trRoot = tr.Start("run")
+		opts.Spans = obs.NewTrace(id)
 	}
+	// Observability: a private trace sink per run (workers never share
+	// one), live metrics aggregated across workers via atomic counters.
 	var sink *telemetry.JSONLSink
 	defer func() {
 		if r := recover(); r != nil {
@@ -692,234 +656,41 @@ func RunOne(task Task, strat core.Strategy, cfg Config) (out RunResult) {
 				Kind: sat.FailPanic,
 				Err:  fmt.Errorf("panic: %v\n%s", r, debug.Stack()),
 			}
-			if sink != nil {
-				sink.Close() // best effort: the trace ends mid-stream
+		}
+		if sink != nil {
+			// Also on the panic path, so a partial trace stays readable.
+			if err := sink.Close(); err != nil && out.Err == nil {
+				out.Err = err
 			}
 		}
 		// Every outcome is terminal except cancellation: a cancelled run is
 		// the one class `-resume` re-executes.
 		out.Completed = out.Failure() != sat.FailCancelled
-		tr.End(trRoot)
-		cfg.Chrome.Add(tr)
+		cfg.Chrome.Add(opts.Spans)
 	}()
 	if cfg.Context != nil && cfg.Context.Err() != nil {
 		out.Status = sat.Unknown
 		out.Stop = sat.StopCancelled
 		return out
 	}
-
-	var rgRanges map[string]dataflow.Interval
-	if cfg.RG {
-		rgSpan := tr.Start("rg.prove")
-		res := cfg.rgMemo.get(task.Bench, task.Model, cfg.Width)
-		tr.End(rgSpan)
-		out.RGStabilizeIters = res.StabilizeIters
-		out.RGSkippedPrefilter = res.SkippedPrefilter
-		if res.Proved {
-			// Safe at every bound: nothing to encode or solve. No proof
-			// trace exists for the checker, so CheckVerdicts marks the run
-			// skipped rather than checked.
-			out.Status = sat.Unsat
-			out.RGProved = true
-			out.CheckSkipped = cfg.CheckVerdicts
-			return out
-		}
-		rgRanges = res.Ranges
-	}
-
-	unrollSpan := tr.Start("unroll")
-	unrollStart := time.Now()
-	unrolled := cprog.Unroll(task.Bench.Program, task.Bound, cprog.UnwindAssume)
-	out.Unroll = time.Since(unrollStart)
-	tr.End(unrollSpan)
-	encSpan := tr.Start("encode")
-	encStart := time.Now()
-	vc, err := encode.Program(unrolled, encode.Options{
-		Model:       task.Model,
-		Width:       cfg.Width,
-		WithProof:   cfg.CheckVerdicts,
-		StaticPrune: cfg.StaticPrune,
-		Dataflow:    cfg.Dataflow,
-		MHB:         cfg.MHB,
-		RGRanges:    rgRanges,
-	})
-	out.Encode = time.Since(encStart)
-	tr.End(encSpan)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	out.VC = vc.Stats
-	// The encoder's pre-analysis shares are measured sub-phases: lay them
-	// out as children of the encode span.
-	if cfg.StaticPrune {
-		tr.AddChild(encSpan, "encode.static", vc.Stats.StaticTime)
-	}
-	if cfg.Dataflow {
-		tr.AddChild(encSpan, "encode.dataflow", vc.Stats.DataflowTime)
-	}
-
-	infos := core.Classify(vc.Builder.NamedVars())
-	deciderCfg := core.Config{Seed: cfg.Seed}
-	if st, ordered := vc.Static, vc.MHBOrdered; st != nil || ordered != nil {
-		deciderCfg.Score = func(vi core.VarInfo) int {
-			// Must-ordered pairs are forced by unit propagation from the
-			// closure's level-0 fixed edges: decide them last.
-			if ordered != nil && ordered(vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx) {
-				return -1
-			}
-			if st == nil {
-				return 0
-			}
-			return st.PairScore(vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx)
-		}
-	}
-	dec := core.NewDecider(strat, infos, deciderCfg)
-	var decider sat.Decider
-	if dec != nil {
-		decider = dec
-	}
-
-	// Observability: a private trace sink per run (workers never share
-	// one), live metrics aggregated across workers via atomic counters.
-	var tracer *telemetry.SolverTracer
 	if cfg.TraceDir != "" {
-		sink, err = telemetry.NewFileSink(filepath.Join(cfg.TraceDir, TraceFileName(task, strat)))
-		if err != nil {
+		var err error
+		if sink, err = telemetry.NewFileSink(filepath.Join(cfg.TraceDir, TraceFileName(task, strat))); err != nil {
 			out.Err = err
 			return out
 		}
-		tracer = telemetry.NewSolverTracer(sink, telemetry.TracerOptions{
-			Classes:  core.ClassNames(infos),
-			Task:     task.ID(),
-			Strategy: strat.String(),
-			Model:    task.Model.String(),
-			Every:    cfg.TraceEvery,
-			RunID:    id,
-		})
-	}
-	var metrics *telemetry.MetricsTracer
-	if cfg.Metrics != nil {
-		metrics = telemetry.NewMetricsTracer(cfg.Metrics)
-	}
-	var satTracer sat.Tracer
-	if tracer != nil || metrics != nil {
-		satTracer = telemetry.Combine(traceOrNil(tracer), metricsOrNil(metrics))
-	}
-
-	opts := smt.Options{
-		Decider:        decider,
-		MaxConflicts:   cfg.MaxConflicts,
-		MaxDecisions:   cfg.MaxDecisions,
-		MaxMemoryBytes: cfg.MaxMemoryBytes,
-		Context:        cfg.Context,
-		Tracer:         satTracer,
-		TimePhases:     cfg.TimePhases || tracer != nil || tr != nil,
-	}
-	if cfg.Faults != nil {
-		label := task.ID() + "/" + strat.String()
-		opts.Tracer = cfg.Faults.Tracer(label, opts.Tracer)
-		opts.WrapTheory = func(th sat.Theory) sat.Theory {
-			return cfg.Faults.Theory(label, th)
-		}
-	}
-	if cfg.Timeout > 0 {
-		opts.Deadline = time.Now().Add(cfg.Timeout)
+		opts.TraceSink = sink
 	}
 	if cfg.Metrics != nil {
+		metrics := telemetry.NewMetricsTracer(cfg.Metrics)
+		opts.Tracer = metrics
+		defer metrics.Flush()
 		running := cfg.Metrics.Gauge("solves_running")
 		running.Add(1)
 		defer running.Add(-1)
 	}
-	solveSpan := tr.Start("solve")
-	r, err := vc.Builder.Solve(opts)
-	if metrics != nil {
-		metrics.Flush()
-	}
-	tr.End(solveSpan)
-	if err != nil {
-		if tracer != nil {
-			sink.Close()
-		}
-		out.Err = err
-		return out
-	}
-	out.Status = r.Status
-	out.Stop = r.Stop
-	out.Solve = r.Elapsed
-	out.Stats = r.Stats
-	out.Timings = r.Timings
-	out.OrderStats = r.OrderStats
-	// The in-solve phase split comes from the solver's own timers, so the
-	// solve span's children sum exactly to sat.SearchTimings.
-	tr.AddChild(solveSpan, "solve.bcp", r.Timings.BCP)
-	tr.AddChild(solveSpan, "solve.theory", r.Timings.Theory)
-	tr.AddChild(solveSpan, "solve.analyze", r.Timings.Analyze)
-	tr.AddChild(solveSpan, "solve.reduce", r.Timings.Reduce)
-	tr.AddChild(solveSpan, "solve.inprocess", r.Timings.Inprocess)
-	if cfg.CheckVerdicts {
-		checkSpan := tr.Start("check")
-		checkVerdict(&out, vc, cfg)
-		tr.End(checkSpan)
-	}
-	if tracer != nil {
-		// Close the root now so the JSONL trace carries the complete span
-		// tree (the deferred End is then a no-op).
-		tr.End(trRoot)
-		for _, sp := range tr.Spans() {
-			tracer.SpanAt(sp.Name, sp.ID, sp.Parent, sp.Start, sp.Dur)
-		}
-		if cerr := tracer.Close(r.StatsDelta); cerr != nil && out.Err == nil {
-			out.Err = cerr
-		}
-		if cerr := sink.Close(); cerr != nil && out.Err == nil {
-			out.Err = cerr
-		}
-	}
+	out.Result, _, out.Err = pipeline.Run(task.Bench.Program, opts)
 	return out
-}
-
-// traceOrNil avoids a typed-nil sat.Tracer interface from a nil *SolverTracer.
-func traceOrNil(t *telemetry.SolverTracer) sat.Tracer {
-	if t == nil {
-		return nil
-	}
-	return t
-}
-
-// metricsOrNil avoids a typed-nil sat.Tracer interface from a nil *MetricsTracer.
-func metricsOrNil(m *telemetry.MetricsTracer) sat.Tracer {
-	if m == nil {
-		return nil
-	}
-	return m
-}
-
-// checkVerdict validates the run's answer independently of the solver.
-func checkVerdict(out *RunResult, vc *encode.VC, cfg Config) {
-	switch out.Status {
-	case sat.Unsat:
-		_, learnts, _, _ := vc.Proof.Stats()
-		if learnts > cfg.CheckLearntCap {
-			out.CheckSkipped = true
-			return
-		}
-		if err := vc.Builder.CheckProof(vc.Proof); err != nil {
-			out.CheckErr = err
-			return
-		}
-		out.Checked = true
-	case sat.Sat:
-		steps, err := witness.Extract(vc)
-		if err == nil {
-			err = witness.Validate(steps)
-		}
-		if err != nil {
-			out.CheckErr = err
-			return
-		}
-		out.Checked = true
-	}
 }
 
 // byTask groups runs per task id and strategy.

@@ -10,6 +10,7 @@ import (
 	"zpre/internal/encode"
 	"zpre/internal/incremental"
 	"zpre/internal/obs"
+	"zpre/internal/pipeline"
 	"zpre/internal/sat"
 )
 
@@ -114,7 +115,7 @@ func newSweep(task Task, strat core.Strategy, cfg Config) (*incremental.Sweep, e
 		// Only unproven pairs reach a sweep (runSweepGroup short-circuits
 		// proved ones); their bound-independent invariant ranges are
 		// asserted once per read creation, base and delta alike.
-		if res := cfg.rgMemo.get(task.Bench, task.Model, cfg.Width); !res.Proved {
+		if res := cfg.rgResult(task); !res.Proved {
 			opts.RGRanges = res.Ranges
 		}
 	}
@@ -170,7 +171,7 @@ func runSweepGroup(g sweepGroup, si int, cfg Config, rec *recorder, resume map[s
 	strat := cfg.Strategies[si]
 	if cfg.RG {
 		first := g.tasks[0].task
-		if res := cfg.rgMemo.get(first.Bench, first.Model, cfg.Width); res.Proved {
+		if res := cfg.rgResult(first); res.Proved {
 			// The engine proved the pair at every bound: the whole sweep is
 			// discharged without building a solver.
 			for _, gt := range g.tasks {
@@ -182,11 +183,12 @@ func runSweepGroup(g sweepGroup, si int, cfg Config, rec *recorder, resume map[s
 					continue
 				}
 				rec.record(idx, RunResult{
-					Task: gt.task, Strategy: strat, Incremental: true,
-					Status: sat.Unsat, RGProved: true,
-					RGStabilizeIters: res.StabilizeIters,
-					CheckSkipped:     cfg.CheckVerdicts,
-					Completed:        true,
+					Task: gt.task, Strategy: strat, Incremental: true, Completed: true,
+					Result: pipeline.Result{
+						Status: sat.Unsat, RGProved: true,
+						RGStabilizeIters: res.StabilizeIters,
+						CheckSkipped:     cfg.CheckVerdicts,
+					},
 				})
 			}
 			return
@@ -216,7 +218,7 @@ func runSweepGroup(g sweepGroup, si int, cfg Config, rec *recorder, resume map[s
 		if cancelled || (cfg.Context != nil && cfg.Context.Err() != nil) {
 			rec.record(idx, RunResult{
 				Task: task, Strategy: strat, Incremental: true,
-				Status: sat.Unknown, Stop: sat.StopCancelled,
+				Result: pipeline.Result{Status: sat.Unknown, Stop: sat.StopCancelled},
 			})
 			continue
 		}
@@ -272,7 +274,7 @@ func runSweepBound(sweep *incremental.Sweep, task Task, strat core.Strategy, cfg
 		cfg.Chrome.Add(tr)
 	}()
 	if cfg.RG {
-		res := cfg.rgMemo.get(task.Bench, task.Model, cfg.Width)
+		res := cfg.rgResult(task)
 		out.RGStabilizeIters = res.StabilizeIters
 		out.RGSkippedPrefilter = res.SkippedPrefilter
 	}
@@ -307,12 +309,7 @@ func runSweepBound(sweep *incremental.Sweep, task Task, strat core.Strategy, cfg
 	// The bound's encode/solve split and the solver's in-solve phase timers
 	// are laid out as measured children of the run span.
 	tr.AddChild(trRoot, "encode", br.Encode)
-	solveSpan := tr.AddChild(trRoot, "solve", br.Solve)
-	tr.AddChild(solveSpan, "solve.bcp", br.Timings.BCP)
-	tr.AddChild(solveSpan, "solve.theory", br.Timings.Theory)
-	tr.AddChild(solveSpan, "solve.analyze", br.Timings.Analyze)
-	tr.AddChild(solveSpan, "solve.reduce", br.Timings.Reduce)
-	tr.AddChild(solveSpan, "solve.inprocess", br.Timings.Inprocess)
+	pipeline.AddSolvePhases(tr, tr.AddChild(trRoot, "solve", br.Solve), br.Timings)
 	out.Status = br.Status
 	out.Stop = br.Stop
 	out.Encode = br.Encode

@@ -18,9 +18,8 @@ import (
 	"zpre/internal/encode"
 	"zpre/internal/memmodel"
 	"zpre/internal/order"
+	"zpre/internal/pipeline"
 	"zpre/internal/sat"
-	"zpre/internal/smt"
-	"zpre/internal/witness"
 )
 
 // Verdict is the per-bound answer (Sat = Unsafe, Unsat = Safe).
@@ -184,29 +183,10 @@ func (s *Sweep) Next() (BoundResult, error) {
 	out := BoundResult{Bound: ba.Bound, Encode: time.Since(encStart)}
 	vc := s.inc.VC()
 
-	infos := core.Classify(vc.Builder.NamedVars())
-	dec := core.NewDecider(s.opts.Strategy, infos, core.Config{
-		Seed:     s.opts.Seed,
-		Polarity: s.opts.Polarity,
-	})
-	var decider sat.Decider
-	if dec != nil {
-		decider = dec
-	}
-	o := smt.Options{
-		Decider:               decider,
-		Context:               s.opts.Context,
-		MaxConflicts:          s.opts.MaxConflicts,
-		MaxDecisions:          s.opts.MaxDecisions,
-		MaxMemoryBytes:        s.opts.MaxMemoryBytes,
-		EagerOrderPropagation: s.opts.EagerOrderPropagation,
-		Tracer:                s.opts.Tracer,
-		TimePhases:            s.opts.TimePhases,
-		WrapTheory:            s.opts.WrapTheory,
-	}
-	if s.opts.Timeout > 0 {
-		o.Deadline = time.Now().Add(s.opts.Timeout)
-	}
+	opts := s.opts.stages()
+	_, decider := pipeline.Decide(vc, opts)
+	o := opts.SolveOptions(decider, s.opts.Tracer)
+	o.WrapTheory = s.opts.WrapTheory
 	r, err := vc.Builder.SolveAssuming(o, ba.Act, ba.Err)
 	if err != nil {
 		return out, err
@@ -226,14 +206,26 @@ func (s *Sweep) Next() (BoundResult, error) {
 		out.Verdict = Safe
 	}
 	if r.Status == sat.Sat && s.opts.CheckWitness {
-		steps, werr := witness.Extract(vc)
-		if werr == nil {
-			werr = witness.Validate(steps)
-		}
-		out.WitnessChecked = werr == nil
-		out.WitnessErr = werr
+		out.WitnessChecked, _, out.WitnessErr = pipeline.Check(vc, r.Status, 0)
 	}
 	return out, nil
+}
+
+// stages maps the sweep's options onto the pipeline stages it shares with
+// the fresh path: decide and solve.
+func (o Options) stages() pipeline.Options {
+	return pipeline.Options{
+		Strategy:              o.Strategy,
+		Seed:                  o.Seed,
+		Polarity:              o.Polarity,
+		Timeout:               o.Timeout,
+		MaxConflicts:          o.MaxConflicts,
+		MaxDecisions:          o.MaxDecisions,
+		MaxMemoryBytes:        o.MaxMemoryBytes,
+		Context:               o.Context,
+		EagerOrderPropagation: o.EagerOrderPropagation,
+		TimePhases:            o.TimePhases,
+	}
 }
 
 // Run sweeps bounds 1..maxBound and returns one result per bound. It stops

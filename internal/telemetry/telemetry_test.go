@@ -381,12 +381,12 @@ func TestCombine(t *testing.T) {
 }
 
 // TestSpanEvents checks that span records keep their names and durations
-// through analysis.
+// through analysis, including legacy flat records (no tree position).
 func TestSpanEvents(t *testing.T) {
 	sink := &MemorySink{}
 	tr := NewSolverTracer(sink, TracerOptions{})
-	tr.Span("encode", 3*time.Millisecond)
-	tr.Span("solve", 5*time.Millisecond)
+	tr.SpanAt("encode", 0, 0, 0, 3*time.Millisecond)
+	tr.SpanAt("solve", 0, 0, 0, 5*time.Millisecond)
 	if err := tr.Close(sat.Stats{}); err != nil {
 		t.Fatal(err)
 	}

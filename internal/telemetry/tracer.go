@@ -189,18 +189,6 @@ func (t *SolverTracer) Inprocess(subsumed, strengthened int) {
 	t.emit(&Event{Kind: KindInprocess, Subsumed: subsumed, Strengthened: strengthened})
 }
 
-// Span records a named phase duration (parse, encode, static, solve, or the
-// in-solve split) as a flat legacy-style span event (no tree position).
-func (t *SolverTracer) Span(name string, d time.Duration) {
-	t.flushBatches()
-	t.emit(&Event{
-		Kind:  KindSpan,
-		TNS:   time.Since(t.start).Nanoseconds(),
-		Name:  name,
-		DurNS: d.Nanoseconds(),
-	})
-}
-
 // SpanAt records one node of a hierarchical span tree: id is the span's
 // per-trace ordinal (≥1), parent the enclosing span's id (0 = root), start
 // the offset from the run origin. Version-2 consumers rebuild the tree from

@@ -7,6 +7,7 @@
 //
 // The package is a thin facade over the internal packages:
 //
+//	pipeline — the staged verification pipeline every entry point runs
 //	cprog    — the concurrent program language, parser and unroller
 //	memmodel — SC/TSO/PSO program-order rules
 //	encode   — the partial-order verification-condition encoder
@@ -25,23 +26,15 @@
 package zpre
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"zpre/internal/core"
 	"zpre/internal/cprog"
-	"zpre/internal/dataflow"
 	"zpre/internal/encode"
-	"zpre/internal/faultinject"
 	"zpre/internal/memmodel"
-	"zpre/internal/obs"
 	"zpre/internal/order"
-	"zpre/internal/rg"
+	"zpre/internal/pipeline"
 	"zpre/internal/sat"
-	"zpre/internal/smt"
-	"zpre/internal/telemetry"
-	"zpre/internal/witness"
 )
 
 // Re-exported memory models.
@@ -63,143 +56,21 @@ const (
 )
 
 // Verdict is the verification outcome at the given unrolling bound.
-type Verdict int
+type Verdict = pipeline.Verdict
 
-// Verdicts.
+// Verdicts (see pipeline.Verdict).
 const (
-	// Unknown means the solver budget was exhausted.
-	Unknown Verdict = iota
-	// Safe means the VC is unsatisfiable: no assertion violation is
-	// reachable within the unrolling bound.
-	Safe
-	// Unsafe means the VC is satisfiable: a violating execution exists.
-	Unsafe
-	// UnboundedSafe means the rely-guarantee proof-outline engine
-	// (Options.RG) discharged every assertion at its interference fixpoint:
-	// the program is safe at EVERY unrolling bound, not just the requested
-	// one, and no SMT instance was encoded or solved.
-	UnboundedSafe
+	Unknown       = pipeline.Unknown
+	Safe          = pipeline.Safe
+	Unsafe        = pipeline.Unsafe
+	UnboundedSafe = pipeline.UnboundedSafe
 )
 
-// String renders the verdict in SV-COMP vocabulary.
-func (v Verdict) String() string {
-	switch v {
-	case Safe, UnboundedSafe:
-		return "true"
-	case Unsafe:
-		return "false"
-	}
-	return "unknown"
-}
-
-// Options configures a Verify call.
-type Options struct {
-	// Model is the memory model (SC, TSO or PSO). Default SC.
-	Model memmodel.Model
-	// Strategy selects the decision order (Baseline, ZPREMinus, ZPRE).
-	Strategy core.Strategy
-	// Unroll is the loop unrolling bound (default 1).
-	Unroll int
-	// Width is the program integer bit width (default 8).
-	Width int
-	// Timeout bounds the solving wall-clock time (0 = none).
-	Timeout time.Duration
-	// MaxConflicts bounds the search (0 = none).
-	MaxConflicts uint64
-	// MaxDecisions bounds the decisions per solve (0 = none).
-	MaxDecisions uint64
-	// MaxMemoryBytes caps the solver's approximate allocation accounting;
-	// exceeding it yields a graceful Unknown instead of an OOM (0 = none).
-	MaxMemoryBytes int64
-	// Context, when non-nil, cancels the solve cooperatively (e.g. from a
-	// SIGINT handler); the verdict comes back Unknown with
-	// Report.Stop == sat.StopCancelled.
-	Context context.Context
-	// Seed drives the random polarity of interference decisions.
-	Seed int64
-	// Polarity overrides the interference decision polarity (default
-	// random, as in the paper).
-	Polarity core.PolarityMode
-	// DisableNumWrites drops the #write ranking from ZPRE (ablation).
-	DisableNumWrites bool
-	// EagerOrderPropagation turns on eager reachability propagation in the
-	// ordering theory (ablation; off in the paper's setting).
-	EagerOrderPropagation bool
-	// StaticPrune drops interference candidates the static lockset/MHP
-	// pre-analysis proves redundant before solving (see
-	// encode.Options.StaticPrune). The pruned VC is equisatisfiable;
-	// Report.EncodeStats.RFPruned/WSPruned count the dropped candidates.
-	StaticPrune bool
-	// Dataflow enables the value-flow pre-analysis (see
-	// encode.Options.Dataflow): pre-encoding constant/copy simplification,
-	// value-infeasible rf candidate pruning and fixed happens-before
-	// derivation. Equisatisfiable; Report.EncodeStats.ValuePruned/
-	// FoldedAssigns/FixedHB count its effects.
-	Dataflow bool
-	// RG runs the rely-guarantee proof-outline engine (internal/rg) before
-	// encoding. If it proves every assertion at its interference fixpoint,
-	// Verify returns UnboundedSafe without encoding or solving (zero
-	// decisions). Otherwise the engine's interference-stabilized variable
-	// ranges are injected into the encoder as guarded per-read invariants
-	// (equisatisfiable; Report.EncodeStats.RGInvariants counts them).
-	// Ignored by VerifyEach and VerifyWithProof, whose per-assert indexing
-	// and proof traces require the full SMT instance.
-	RG bool
-	// RGDomain selects the rely-guarantee engine's abstract domain:
-	// rg.DomainInterval (default) or rg.DomainDBM, which layers the
-	// relational zone analysis (internal/relational) onto the proof
-	// outlines — closed-form exit bounds sharpen the post-state, a
-	// difference-bound matrix tracks variable differences through the post
-	// walk, and assertions the interval domain cannot see (x ≥ y, x−y ≤ c)
-	// become provable. Only consulted when RG is true.
-	RGDomain string
-	// RGPrefilter enables the rely-guarantee engine's cheap pre-filter:
-	// proof attempts whose assertions are not domain-expressible, or that
-	// round 1 already refutes under the strongest (empty) rely, are skipped
-	// before the interference fixpoint spends its budget
-	// (Report.RGSkippedPrefilter). Never flips a verdict — a skipped
-	// attempt reports unproved, exactly what the full run would have
-	// concluded. Only consulted when RG is true.
-	RGPrefilter bool
-	// MHB runs the must-happens-before closure engine before solving (see
-	// encode.Options.MHB): forced rf edges of unconditional
-	// single-candidate reads are fixed statically, the must-fr edges they
-	// entail are derived, and contradicted rf/ws candidates are elided.
-	// Equisatisfiable; Report.EncodeStats.MHBFixedRF/MHBFixedFR/MHBPruned
-	// count its effects, and the closed relation feeds the ZPRE decision
-	// order (must-ordered interference variables are decided last).
-	MHB bool
-	// RGResult supplies a precomputed rely-guarantee result for this
-	// (program, model, width), skipping the analysis inside Verify; callers
-	// running many bounds of one program (the harness, the incremental
-	// sweep) compute it once and share it. Only consulted when RG is true.
-	RGResult *rg.Result
-	// TraceSink, when non-nil, receives the structured search trace
-	// (decisions with variable class, conflicts with LBD, restarts, ...;
-	// see internal/telemetry). The caller owns the sink's lifetime.
-	TraceSink telemetry.Sink
-	// TraceEvery subsamples high-volume trace events: every Nth
-	// decision/conflict is recorded (0 or 1 = all; counts stay exact).
-	TraceEvery int
-	// TraceTask labels the trace's meta record. Verify defaults it to the
-	// program name.
-	TraceTask string
-	// TimePhases splits solve time across BCP/theory/analyze/reduce into
-	// Report.SearchTimings.
-	TimePhases bool
-	// Spans, when non-nil, receives this call's hierarchical span trace
-	// (rg prove, unroll, encode with static/dataflow children, solve with
-	// the in-solve phase split) for Chrome trace-event export; see
-	// internal/obs. Implies TimePhases. Ignored by VerifyEach.
-	Spans *obs.Trace
-	// Faults, when non-nil, arms deterministic fault injection at the
-	// solver's tracer and theory seams for this call (see
-	// internal/faultinject); faults are matched against FaultLabel. Used by
-	// the zpred service's chaos harness; nil costs nothing.
-	Faults *faultinject.Set
-	// FaultLabel is the label Faults match against (defaults to TraceTask).
-	FaultLabel string
-}
+// Options configures a Verify call: the memory model, strategy and bound,
+// the pre-analyses (RG, StaticPrune, Dataflow, MHB), solver budgets,
+// tracing and verdict checking. Each field is documented with the pipeline
+// stage that reads it, in internal/pipeline.
+type Options = pipeline.Options
 
 // Report is the result of a Verify call.
 type Report struct {
@@ -222,8 +93,9 @@ type Report struct {
 	// OrderStats are the ordering theory's work counters (cycle checks,
 	// theory conflicts, eager propagations).
 	OrderStats order.Stats
-	// ProofChecked is true when a Safe verdict's refutation was validated
-	// by the independent proof checker (VerifyWithProof only).
+	// ProofChecked is true when the verdict was validated independently
+	// (Options.Check, VerifyWithProof): a Safe verdict's refutation by the
+	// proof checker, an Unsafe verdict's witness schedule by replay.
 	ProofChecked bool
 	// RGProved is true when the verdict is UnboundedSafe: the
 	// rely-guarantee engine proved the program at every bound and the SMT
@@ -244,211 +116,34 @@ func ParseProgram(name, src string) (*cprog.Program, error) {
 	return cprog.Parse(name, src)
 }
 
-// Verify encodes the program at the configured unrolling bound and memory
-// model and solves the verification condition with the selected strategy.
+// Verify runs the program through the verification pipeline: the optional
+// rely-guarantee proof, unrolling to the configured bound, encoding under
+// the memory model, the strategy's decision order and the solve. With
+// Options.Check the verdict is also validated independently, and a failed
+// validation is returned as an error — the solver may not vouch for itself.
 func Verify(p *cprog.Program, opts Options) (Report, error) {
-	if opts.Unroll <= 0 {
-		opts.Unroll = 1
+	res, _, err := pipeline.Run(p, opts)
+	if err == nil {
+		err = res.CheckErr
 	}
-	if opts.TraceTask == "" {
-		opts.TraceTask = p.Name
-	}
-	var rgRanges map[string]dataflow.Interval
-	var rgIters int
-	var rgSkipped bool
-	if opts.RG {
-		rgSpan := opts.Spans.Start("rg.prove")
-		res, err := resolveRG(p, opts)
-		opts.Spans.End(rgSpan)
-		if err != nil {
-			return Report{}, err
-		}
-		rgIters = res.StabilizeIters
-		rgSkipped = res.SkippedPrefilter
-		if res.Proved {
-			return Report{
-				Verdict:          UnboundedSafe,
-				Status:           sat.Unsat,
-				RGProved:         true,
-				RGStabilizeIters: res.StabilizeIters,
-			}, nil
-		}
-		rgRanges = res.Ranges
-	}
-	unrollSpan := opts.Spans.Start("unroll")
-	unrolled := cprog.Unroll(p, opts.Unroll, cprog.UnwindAssume)
-	opts.Spans.End(unrollSpan)
-
-	encSpan := opts.Spans.Start("encode")
-	encStart := time.Now()
-	vc, err := encode.Program(unrolled, encode.Options{
-		Model:       opts.Model,
-		Width:       opts.Width,
-		StaticPrune: opts.StaticPrune,
-		Dataflow:    opts.Dataflow,
-		MHB:         opts.MHB,
-		RGRanges:    rgRanges,
-	})
-	opts.Spans.End(encSpan)
 	if err != nil {
 		return Report{}, err
-	}
-	encodeTime := time.Since(encStart)
-	if opts.StaticPrune {
-		opts.Spans.AddChild(encSpan, "encode.static", vc.Stats.StaticTime)
-	}
-	if opts.Dataflow {
-		opts.Spans.AddChild(encSpan, "encode.dataflow", vc.Stats.DataflowTime)
-	}
-
-	rep, err := solveVC(vc, opts, encodeTime)
-	if err != nil {
-		return Report{}, err
-	}
-	rep.EncodeTime = encodeTime
-	rep.RGStabilizeIters = rgIters
-	rep.RGSkippedPrefilter = rgSkipped
-	return rep, nil
-}
-
-// resolveRG returns the caller's precomputed rely-guarantee result or runs
-// the engine for this (program, model, width).
-func resolveRG(p *cprog.Program, opts Options) (*rg.Result, error) {
-	if opts.RGResult != nil {
-		return opts.RGResult, nil
-	}
-	return rg.Prove(p, rg.Options{
-		Model:     opts.Model,
-		Width:     opts.Width,
-		Domain:    opts.RGDomain,
-		Prefilter: opts.RGPrefilter,
-	})
-}
-
-// SolveVC runs the backend on an already-encoded verification condition.
-// This is the seam the paper's evaluation measures: the same SMT instance is
-// solved with different decision strategies.
-func SolveVC(vc *encode.VC, opts Options) (Report, error) {
-	return solveVC(vc, opts, 0)
-}
-
-// solveVC is SolveVC with the caller's encode duration, so a trace opened
-// here records the full parse→encode→static→solve span set.
-func solveVC(vc *encode.VC, opts Options, encodeTime time.Duration) (Report, error) {
-	infos := core.Classify(vc.Builder.NamedVars())
-	dec := core.NewDecider(opts.Strategy, infos, deciderConfig(vc, opts))
-	var decider sat.Decider
-	if dec != nil {
-		decider = dec
-	}
-	var deadline time.Time
-	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
-	}
-	var tracer *telemetry.SolverTracer
-	var satTracer sat.Tracer
-	if opts.TraceSink != nil {
-		tracer = telemetry.NewSolverTracer(opts.TraceSink, telemetry.TracerOptions{
-			Classes:  core.ClassNames(infos),
-			Task:     opts.TraceTask,
-			Strategy: opts.Strategy.String(),
-			Model:    opts.Model.String(),
-			Every:    opts.TraceEvery,
-		})
-		if encodeTime > 0 {
-			tracer.Span("encode", encodeTime)
-		}
-		tracer.Span("static", vc.Stats.StaticTime)
-		satTracer = tracer
-	}
-	sopts := smt.Options{
-		Decider:               decider,
-		Deadline:              deadline,
-		MaxConflicts:          opts.MaxConflicts,
-		MaxDecisions:          opts.MaxDecisions,
-		MaxMemoryBytes:        opts.MaxMemoryBytes,
-		Context:               opts.Context,
-		EagerOrderPropagation: opts.EagerOrderPropagation,
-		Tracer:                satTracer,
-		TimePhases:            opts.TimePhases || tracer != nil || opts.Spans != nil,
-	}
-	if opts.Faults != nil {
-		label := opts.FaultLabel
-		if label == "" {
-			label = opts.TraceTask
-		}
-		sopts.Tracer = opts.Faults.Tracer(label, sopts.Tracer)
-		sopts.WrapTheory = func(th sat.Theory) sat.Theory {
-			return opts.Faults.Theory(label, th)
-		}
-	}
-	solveSpan := opts.Spans.Start("solve")
-	res, err := vc.Builder.Solve(sopts)
-	opts.Spans.End(solveSpan)
-	if err != nil {
-		return Report{}, err
-	}
-	opts.Spans.AddChild(solveSpan, "solve.bcp", res.Timings.BCP)
-	opts.Spans.AddChild(solveSpan, "solve.theory", res.Timings.Theory)
-	opts.Spans.AddChild(solveSpan, "solve.analyze", res.Timings.Analyze)
-	opts.Spans.AddChild(solveSpan, "solve.reduce", res.Timings.Reduce)
-	opts.Spans.AddChild(solveSpan, "solve.inprocess", res.Timings.Inprocess)
-	if tracer != nil {
-		tracer.Span("solve", res.Elapsed)
-		tracer.Span("solve.bcp", res.Timings.BCP)
-		tracer.Span("solve.theory", res.Timings.Theory)
-		tracer.Span("solve.analyze", res.Timings.Analyze)
-		tracer.Span("solve.reduce", res.Timings.Reduce)
-		tracer.Span("solve.inprocess", res.Timings.Inprocess)
-		if err := tracer.Close(res.StatsDelta); err != nil {
-			return Report{}, fmt.Errorf("zpre: trace sink: %w", err)
-		}
-	}
-	verdict := Unknown
-	switch res.Status {
-	case sat.Sat:
-		verdict = Unsafe
-	case sat.Unsat:
-		verdict = Safe
 	}
 	return Report{
-		Verdict:       verdict,
-		Status:        res.Status,
-		Stop:          res.Stop,
-		SolverStats:   res.Stats,
-		EncodeStats:   vc.Stats,
-		SolveTime:     res.Elapsed,
-		SearchTimings: res.Timings,
-		OrderStats:    res.OrderStats,
+		Verdict:            res.Verdict(),
+		Status:             res.Status,
+		Stop:               res.Stop,
+		SolverStats:        res.Stats,
+		EncodeStats:        res.VC,
+		SolveTime:          res.Solve,
+		EncodeTime:         res.Encode,
+		SearchTimings:      res.Timings,
+		OrderStats:         res.OrderStats,
+		ProofChecked:       res.Checked,
+		RGProved:           res.RGProved,
+		RGStabilizeIters:   res.RGStabilizeIters,
+		RGSkippedPrefilter: res.RGSkippedPrefilter,
 	}, nil
-}
-
-// deciderConfig builds the strategy configuration for a solve, attaching
-// the static conflict scorer when the VC carries an aligned pre-analysis
-// (consumed by the ZPREStatic strategy; ignored by the others). When the
-// must-happens-before closure ran, interference variables whose two
-// accesses it proved must-ordered are down-ranked below every other pair:
-// their value is forced by unit propagation from the level-0 fixed edges,
-// so deciding them early is pure search noise.
-func deciderConfig(vc *encode.VC, opts Options) core.Config {
-	cfg := core.Config{
-		Seed:             opts.Seed,
-		Polarity:         opts.Polarity,
-		DisableNumWrites: opts.DisableNumWrites,
-	}
-	st, ordered := vc.Static, vc.MHBOrdered
-	if st != nil || ordered != nil {
-		cfg.Score = func(vi core.VarInfo) int {
-			if ordered != nil && ordered(vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx) {
-				return -1
-			}
-			if st == nil {
-				return 0
-			}
-			return st.PairScore(vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx)
-		}
-	}
-	return cfg
 }
 
 // FindMinimalBound searches unroll bounds 1..maxBound for the smallest
@@ -457,6 +152,14 @@ func deciderConfig(vc *encode.VC, opts Options) core.Config {
 // bound and the corresponding report. If no bound up to maxBound violates,
 // it returns 0 and the report of the last (safe or unknown) bound.
 func FindMinimalBound(p *cprog.Program, opts Options, maxBound int) (int, Report, error) {
+	if opts.RG && opts.RGResult == nil {
+		// The rely-guarantee result is bound-independent: prove once.
+		res, err := pipeline.Prove(p, opts)
+		if err != nil {
+			return 0, Report{}, err
+		}
+		opts.RGResult = res
+	}
 	var last Report
 	for k := 1; k <= maxBound; k++ {
 		opts.Unroll = k
@@ -493,56 +196,29 @@ type AssertReport struct {
 // VerifyEach checks every assertion of the program separately: the VC is
 // encoded once with selector-guarded violations and each property is solved
 // as an incremental assumption query on the same solver, so learnt clauses
-// and variable activities carry over between properties.
+// and variable activities carry over between properties. The rg stage does
+// not apply (a proof outline covers all assertions at once).
 func VerifyEach(p *cprog.Program, opts Options) ([]AssertReport, error) {
 	if opts.Unroll <= 0 {
 		opts.Unroll = 1
 	}
-	unrolled := cprog.Unroll(p, opts.Unroll, cprog.UnwindAssume)
-	vc, err := encode.Program(unrolled, encode.Options{
-		Model:             opts.Model,
-		Width:             opts.Width,
-		SelectableAsserts: true,
-		StaticPrune:       opts.StaticPrune,
-		Dataflow:          opts.Dataflow,
-		MHB:               opts.MHB,
-	})
+	eo := opts.EncodeOptions(nil)
+	eo.SelectableAsserts = true
+	vc, err := encode.Program(cprog.Unroll(p, opts.Unroll, cprog.UnwindAssume), eo)
 	if err != nil {
 		return nil, err
 	}
-	infos := core.Classify(vc.Builder.NamedVars())
-	dec := core.NewDecider(opts.Strategy, infos, deciderConfig(vc, opts))
-	var decider sat.Decider
-	if dec != nil {
-		decider = dec
-	}
+	_, decider := pipeline.Decide(vc, opts)
 	var out []AssertReport
 	for i, sel := range vc.Selectors {
-		sopts := smt.Options{
-			Decider:        decider,
-			MaxConflicts:   opts.MaxConflicts,
-			MaxDecisions:   opts.MaxDecisions,
-			MaxMemoryBytes: opts.MaxMemoryBytes,
-			Context:        opts.Context,
-		}
-		if opts.Timeout > 0 {
-			sopts.Deadline = time.Now().Add(opts.Timeout)
-		}
-		res, err := vc.Builder.SolveAssuming(sopts, sel)
+		res, err := vc.Builder.SolveAssuming(opts.SolveOptions(decider, nil), sel)
 		if err != nil {
 			return nil, err
-		}
-		verdict := Unknown
-		switch res.Status {
-		case sat.Sat:
-			verdict = Unsafe
-		case sat.Unsat:
-			verdict = Safe
 		}
 		out = append(out, AssertReport{
 			Index:     i,
 			Thread:    vc.AssertThreads[i],
-			Verdict:   verdict,
+			Verdict:   pipeline.StatusVerdict(res.Status),
 			SolveTime: res.Elapsed,
 		})
 	}
@@ -554,42 +230,11 @@ func VerifyEach(p *cprog.Program, opts Options) ([]AssertReport, error) {
 // (internal/proof), and an Unsafe (sat) verdict's model is linearised into
 // a witness schedule whose memory semantics are validated
 // (internal/witness). A rejection in either direction is returned as an
-// error — the solver may not vouch for itself.
+// error. The rg stage is skipped: a proof exists only when the SMT backend
+// runs.
 func VerifyWithProof(p *cprog.Program, opts Options) (Report, error) {
-	if opts.Unroll <= 0 {
-		opts.Unroll = 1
-	}
-	unrolled := cprog.Unroll(p, opts.Unroll, cprog.UnwindAssume)
-	vc, err := encode.Program(unrolled, encode.Options{
-		Model:       opts.Model,
-		Width:       opts.Width,
-		WithProof:   true,
-		StaticPrune: opts.StaticPrune,
-		Dataflow:    opts.Dataflow,
-		MHB:         opts.MHB,
-	})
-	if err != nil {
-		return Report{}, err
-	}
-	rep, err := SolveVC(vc, opts)
-	if err != nil {
-		return Report{}, err
-	}
-	switch rep.Verdict {
-	case Safe:
-		if err := vc.Builder.CheckProof(vc.Proof); err != nil {
-			return Report{}, fmt.Errorf("unsat verdict failed proof checking: %w", err)
-		}
-		rep.ProofChecked = true
-	case Unsafe:
-		steps, err := witness.Extract(vc)
-		if err != nil {
-			return Report{}, fmt.Errorf("sat verdict yielded no witness: %w", err)
-		}
-		if err := witness.Validate(steps); err != nil {
-			return Report{}, fmt.Errorf("sat verdict failed witness validation: %w", err)
-		}
-		rep.ProofChecked = true
-	}
-	return rep, nil
+	opts.RG = false
+	opts.Check = true
+	opts.CheckLearntCap = 0
+	return Verify(p, opts)
 }

@@ -1,10 +1,14 @@
 package zpre
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"zpre/internal/core"
+	"zpre/internal/harness"
 	"zpre/internal/memmodel"
+	"zpre/internal/obs"
 	"zpre/internal/svcomp"
 )
 
@@ -27,6 +31,60 @@ main { assert(x != 0); }
 	}
 	if rep.EncodeStats.Events == 0 || rep.SolveTime < 0 {
 		t.Fatal("report not populated")
+	}
+}
+
+// TestEntryPointsShareOnePipeline: zpre.Verify and the evaluation harness
+// run one task through the same stages — identical span trees by name and
+// parent, identical verdict and search counters.
+func TestEntryPointsShareOnePipeline(t *testing.T) {
+	cfg := harness.Config{
+		Models:        []memmodel.Model{TSO},
+		Strategies:    []core.Strategy{ZPRE},
+		Bounds:        []int{1},
+		Seed:          1,
+		StaticPrune:   true,
+		Dataflow:      true,
+		RG:            true,
+		Subcategories: []string{"lit"},
+		Chrome:        obs.NewCollector(),
+	}
+	var task harness.Task
+	for _, tk := range harness.Tasks(cfg) {
+		if tk.Bench.Name == "fig2" {
+			task = tk
+		}
+	}
+	run := harness.RunOne(task, ZPRE, cfg)
+	if run.Err != nil {
+		t.Fatal(run.Err)
+	}
+	tr := obs.NewTrace("verify")
+	rep, err := Verify(task.Bench.Program, Options{
+		Model: TSO, Strategy: ZPRE, Unroll: 1, Seed: 1,
+		StaticPrune: true, Dataflow: true, RG: true, Spans: tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Status != run.Status || rep.SolverStats != run.Stats {
+		t.Fatalf("Verify %v %+v, harness %v %+v", rep.Status, rep.SolverStats, run.Status, run.Stats)
+	}
+	shape := func(tr *obs.Trace) []string {
+		spans := tr.Spans()
+		var out []string
+		for _, sp := range spans {
+			parent := ""
+			if sp.Parent > 0 {
+				parent = spans[sp.Parent-1].Name
+			}
+			out = append(out, parent+"/"+sp.Name)
+		}
+		return out
+	}
+	got, want := shape(tr), shape(cfg.Chrome.Traces()[0])
+	if len(got) == 0 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("span trees differ:\n Verify:  %v\n harness: %v", got, want)
 	}
 }
 
