@@ -9,67 +9,76 @@ import (
 )
 
 // outlineLine is one statement of the final-round proof outline: the
-// stabilized precondition (per-variable hull plus disjunct count) at the
-// statement.
+// stabilized precondition at the statement, kept as its per-variable hull
+// plus disjunct count and rendered only when the outline is formatted.
 type outlineLine struct {
 	path string
-	stmt string
-	pre  string
+	stmt cprog.Stmt
+	sc   *scope
+	hull []iv // per variable of sc
+	n    int  // disjuncts in the precondition
 }
 
 type outlineData struct {
+	pi      *progInfo
 	model   string
 	name    string
-	width   int
 	rounds  int
 	proved  bool
 	asserts []string // "key: proved|UNPROVED"
-	rely    []string // rendered transitions, per thread
+	rely    [][]*transition
 	scopes  []string // scope names in order
 	lines   map[string][]outlineLine
 }
 
 func (e *engine) noteOutline(sc *scope, path string, s cprog.Stmt, S stateSet) {
-	line := outlineLine{path: path, stmt: renderStmt(s), pre: renderSet(S, sc, e.pi)}
 	// Loop bodies are revisited during the inner fixpoint; keep only the
 	// last (stable) precondition per statement, in first-visit order.
 	lines := e.outlines[sc.name]
-	for i := range lines {
-		if lines[i].path == path {
-			lines[i] = line
-			return
-		}
+	i := 0
+	for i < len(lines) && lines[i].path != path {
+		i++
 	}
-	e.outlines[sc.name] = append(lines, line)
+	if i == len(lines) {
+		lines = append(lines, outlineLine{path: path, sc: sc, hull: make([]iv, sc.nVars)})
+		e.outlines[sc.name] = lines
+	}
+	l := &lines[i]
+	l.stmt = s
+	l.n = len(S)
+	for v := range l.hull {
+		l.hull[v] = hullOf(S, v)
+	}
 }
 
-// renderSet renders the per-variable hull of a state set plus its disjunct
-// count; only non-top variables are shown.
-func renderSet(S stateSet, sc *scope, pi *progInfo) string {
-	if len(S) == 0 {
+// renderPre renders an outline precondition: the per-variable hull of the
+// state set plus its disjunct count; only non-top variables are shown.
+func renderPre(l outlineLine, width int) string {
+	if l.n == 0 {
 		return "unreachable"
 	}
 	var parts []string
-	for v := 0; v < len(sc.names); v++ {
-		h := hullOf(S, v)
-		if h.IsTop(pi.width) {
+	for v, h := range l.hull {
+		if h.IsTop(width) {
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s=%s", sc.names[v], h))
+		parts = append(parts, fmt.Sprintf("%s=%s", l.sc.names[v], h))
 	}
 	if len(parts) == 0 {
 		parts = append(parts, "top")
 	}
-	return fmt.Sprintf("{%s} ×%d", strings.Join(parts, " "), len(S))
+	return fmt.Sprintf("{%s} ×%d", strings.Join(parts, " "), l.n)
 }
 
 func (e *engine) buildOutline(trans [][]*transition, res *Result) *outlineData {
 	od := &outlineData{
+		pi:     e.pi,
 		model:  e.model.String(),
 		name:   e.prog.Name,
-		width:  e.pi.width,
 		rounds: res.StabilizeIters,
 		proved: res.Proved,
+		rely:   trans,
+		scopes: e.scOrder,
 		lines:  map[string][]outlineLine{},
 	}
 	unproved := map[string]bool{}
@@ -83,12 +92,6 @@ func (e *engine) buildOutline(trans [][]*transition, res *Result) *outlineData {
 		}
 		od.asserts = append(od.asserts, fmt.Sprintf("%s: %s", k, status))
 	}
-	for t, ts := range trans {
-		for _, tr := range ts {
-			od.rely = append(od.rely, renderTrans(tr, t, e.pi))
-		}
-	}
-	od.scopes = append([]string(nil), e.scOrder...)
 	for k, v := range e.outlines { //mapiter:ok copied into map keyed identically
 		od.lines[k] = v
 	}
@@ -126,14 +129,18 @@ func FormatOutline(res *Result) string {
 		return fmt.Sprintf("no outline (bailed=%v)\n", res.Bailed)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "program %s model %s width %d\n", od.name, od.model, od.width)
+	fmt.Fprintf(&b, "program %s model %s width %d\n", od.name, od.model, od.pi.width)
 	fmt.Fprintf(&b, "fixpoint rounds %d proved %v\n", od.rounds, od.proved)
 	b.WriteString("rely transitions:\n")
-	if len(od.rely) == 0 {
-		b.WriteString("  (none)\n")
+	none := true
+	for t, ts := range od.rely {
+		for _, tr := range ts {
+			fmt.Fprintf(&b, "  %s\n", renderTrans(tr, t, od.pi))
+			none = false
+		}
 	}
-	for _, r := range od.rely {
-		fmt.Fprintf(&b, "  %s\n", r)
+	if none {
+		b.WriteString("  (none)\n")
 	}
 	for _, sc := range od.scopes {
 		lines := od.lines[sc]
@@ -142,7 +149,7 @@ func FormatOutline(res *Result) string {
 			b.WriteString("  (empty)\n")
 		}
 		for _, l := range lines {
-			fmt.Fprintf(&b, "  [%s] %s  pre %s\n", l.path, l.stmt, l.pre)
+			fmt.Fprintf(&b, "  [%s] %s  pre %s\n", l.path, renderStmt(l.stmt), renderPre(l, od.pi.width))
 		}
 	}
 	b.WriteString("asserts:\n")

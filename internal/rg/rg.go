@@ -46,7 +46,7 @@ type Options struct {
 	// Prefilter skips proof attempts that cannot possibly succeed: programs
 	// with assertions outside the domain's linear fragment return
 	// immediately, and an assertion already refuted against the strongest
-	// (round-1, interference-free) states aborts before the expensive
+	// (round-1, interference-free) states aborts before the remaining
 	// stabilization rounds. Never flips a verdict — a skipped attempt
 	// reports unproved, exactly what the full run would have concluded.
 	Prefilter bool
@@ -122,6 +122,8 @@ type engine struct {
 
 	outlines map[string][]outlineLine // scope name -> final-round outline
 	scOrder  []string
+
+	seen envSet // stabilize's duplicate index, reused across calls
 }
 
 func (e *engine) spend() bool {
@@ -315,12 +317,8 @@ func relyFor(trans [][]*transition, self int) []*transition {
 func projectShared(S stateSet, pi *progInfo) stateSet {
 	out := make(stateSet, 0, len(S))
 	for _, e := range S {
-		c := &env{
-			vals:   append([]iv(nil), e.vals[:pi.nShared]...),
-			own:    make([]iv, pi.nShared),
-			ownSet: make([]bool, pi.nShared),
-			fenced: make([]bool, pi.nShared),
-		}
+		c := newEnv(pi.nShared, pi.nShared)
+		copy(c.vals, e.vals)
 		out = append(out, c)
 	}
 	return normalize(out, len(out))
@@ -355,22 +353,32 @@ func (e *engine) checkPost(exits []stateSet, trans [][]*transition) {
 	w.walkStmts(e.postScope.body, S, "post")
 }
 
-// meetProduct intersects two shared-state views pairwise.
+// meetProduct intersects two shared-state views pairwise. Each meet is
+// built in scratch space and copied out only when non-empty and new, so
+// normalize sorts distinct disjuncts only.
 func meetProduct(a, b stateSet, cap int) stateSet {
+	if len(a) == 0 || len(b) == 0 {
+		return nil
+	}
 	var out stateSet
+	var seen envSet
+	tmp := newEnv(len(a[0].vals), len(a[0].own))
 	for _, x := range a {
 		for _, y := range b {
-			c := x.clone()
+			tmp.copyFrom(x)
 			empty := false
-			for v := range c.vals {
-				m := dataflow.Meet(c.vals[v], y.vals[v])
+			for v := range tmp.vals {
+				m := dataflow.Meet(tmp.vals[v], y.vals[v])
 				if m.IsEmpty() {
 					empty = true
 					break
 				}
-				c.vals[v] = m
+				tmp.vals[v] = m
 			}
-			if !empty {
+			if empty {
+				continue
+			}
+			if c := seen.addCopy(tmp); c != nil {
 				out = append(out, c)
 			}
 		}
@@ -381,12 +389,7 @@ func meetProduct(a, b stateSet, cap int) stateSet {
 func extendToScope(S stateSet, pi *progInfo, sc *scope) stateSet {
 	out := make(stateSet, 0, len(S))
 	for _, e := range S {
-		c := &env{
-			vals:   make([]iv, sc.nVars),
-			own:    make([]iv, pi.nShared),
-			ownSet: make([]bool, pi.nShared),
-			fenced: make([]bool, pi.nShared),
-		}
+		c := newEnv(sc.nVars, pi.nShared)
 		copy(c.vals, e.vals[:pi.nShared])
 		for i := pi.nShared; i < sc.nVars; i++ {
 			c.vals[i] = dataflow.FromConst(0, pi.width)

@@ -93,7 +93,8 @@ func addLocal(sc *scope, name string) {
 // plus bookkeeping about the walking thread's own writes that the per-model
 // rely guards need (own = value of the last own write to each shared
 // variable, valid while ownSet; fenced = a full fence separates that write
-// from the current point).
+// from the current point). vals+own and ownSet+fenced each share one
+// backing array; the capacity-capped slices never alias on append.
 type env struct {
 	vals   []iv
 	own    []iv
@@ -101,13 +102,21 @@ type env struct {
 	fenced []bool
 }
 
-func newInitEnv(pi *progInfo, sc *scope) *env {
-	e := &env{
-		vals:   make([]iv, sc.nVars),
-		own:    make([]iv, pi.nShared),
-		ownSet: make([]bool, pi.nShared),
-		fenced: make([]bool, pi.nShared),
+// newEnv allocates a zeroed environment over nVars variables, of which the
+// first nShared are shared.
+func newEnv(nVars, nShared int) *env {
+	ivs := make([]iv, nVars+nShared)
+	flags := make([]bool, 2*nShared)
+	return &env{
+		vals:   ivs[:nVars:nVars],
+		own:    ivs[nVars:],
+		ownSet: flags[:nShared:nShared],
+		fenced: flags[nShared:],
 	}
+}
+
+func newInitEnv(pi *progInfo, sc *scope) *env {
+	e := newEnv(sc.nVars, pi.nShared)
 	for i := 0; i < pi.nShared; i++ {
 		e.vals[i] = dataflow.FromConst(pi.initVals[i], pi.width)
 	}
@@ -118,13 +127,17 @@ func newInitEnv(pi *progInfo, sc *scope) *env {
 }
 
 func (e *env) clone() *env {
-	c := &env{
-		vals:   append([]iv(nil), e.vals...),
-		own:    append([]iv(nil), e.own...),
-		ownSet: append([]bool(nil), e.ownSet...),
-		fenced: append([]bool(nil), e.fenced...),
-	}
+	c := newEnv(len(e.vals), len(e.own))
+	c.copyFrom(e)
 	return c
+}
+
+// copyFrom overwrites e with src, which must have the same shape.
+func (e *env) copyFrom(src *env) {
+	copy(e.vals, src.vals)
+	copy(e.own, src.own)
+	copy(e.ownSet, src.ownSet)
+	copy(e.fenced, src.fenced)
 }
 
 // setVal assigns a refined value to a variable, keeping the own-write image
@@ -201,6 +214,112 @@ func envCmp(a, b *env) int {
 		}
 	}
 	return 0
+}
+
+// envHash is a hash of an environment that agrees with envCmp: equal
+// environments hash equally. Like envCmp it ignores own[i] while ownSet[i]
+// is false.
+func envHash(e *env) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(x uint64) { h = (h ^ x) * 1099511628211 }
+	for _, x := range e.vals {
+		mix(uint64(x.Lo))
+		mix(uint64(x.Hi))
+	}
+	for i, set := range e.ownSet {
+		var f uint64
+		if set {
+			f = 1
+		}
+		if e.fenced[i] {
+			f |= 2
+		}
+		mix(f)
+		if set {
+			mix(uint64(e.own[i].Lo))
+			mix(uint64(e.own[i].Hi))
+		}
+	}
+	// Finalize so the low bits used to pick a slot depend on every input.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// envSet is a hash index of distinct environments (equal under envCmp).
+// It does not own or order them: callers keep their own slice and use the
+// set for O(1) membership. The zero value is an empty set.
+type envSet struct {
+	slots []envSlot // open addressing; len is a power of two, at most half full
+	n     int
+}
+
+type envSlot struct {
+	h uint64
+	e *env
+}
+
+// reset empties the set, keeping its table for reuse.
+func (s *envSet) reset() {
+	clear(s.slots)
+	s.n = 0
+}
+
+// probe returns the slot holding an environment equal to e, or the empty
+// slot where e belongs.
+func (s *envSet) probe(e *env) (slot int, h uint64, found bool) {
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	h = envHash(e)
+	mask := len(s.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.e == nil {
+			return i, h, false
+		}
+		if sl.h == h && envCmp(sl.e, e) == 0 {
+			return i, h, true
+		}
+	}
+}
+
+func (s *envSet) grow() {
+	old := s.slots
+	s.slots = make([]envSlot, max(16, 2*len(old)))
+	mask := len(s.slots) - 1
+	for _, sl := range old {
+		if sl.e == nil {
+			continue
+		}
+		i := int(sl.h) & mask
+		for s.slots[i].e != nil {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = sl
+	}
+}
+
+// add inserts e itself unless an equal environment is present.
+func (s *envSet) add(e *env) {
+	if i, h, found := s.probe(e); !found {
+		s.slots[i] = envSlot{h, e}
+		s.n++
+	}
+}
+
+// addCopy inserts a clone of e unless an equal environment is present, and
+// returns the clone (nil for a duplicate). e itself may be scratch space.
+func (s *envSet) addCopy(e *env) *env {
+	i, h, found := s.probe(e)
+	if found {
+		return nil
+	}
+	c := e.clone()
+	s.slots[i] = envSlot{h, c}
+	s.n++
+	return c
 }
 
 // stateSet is a bounded disjunction of environments. The disjuncts carry the

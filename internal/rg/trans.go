@@ -68,6 +68,7 @@ type walker struct {
 	compDep  int
 	atomDep  int
 	coll     *collector
+	tmp      *env // scratch for rely images (see stabilize)
 	// zone tracks relational facts through the post-block walk in the dbm
 	// domain (nil otherwise): it holds difference bounds like x − y ≤ c
 	// that survive where the per-variable intervals above lose them.
@@ -119,41 +120,45 @@ func heldConflict(a, b []string) bool {
 	return false
 }
 
-// applyTrans applies a rely transition to one environment, or nil when the
-// guard rules it out. The guard meet is sound: the closure also contains the
-// fully-evolved states in which the transition really fires.
-func applyTrans(t *transition, e *env, nShared int) *env {
+// applyTrans writes the image of e under a rely transition into dst (an
+// environment of the same shape) and reports false, leaving dst undefined,
+// when the guard rules the transition out. The guard meet is sound: the
+// closure also contains the fully-evolved states in which the transition
+// really fires.
+func applyTrans(dst *env, t *transition, e *env, nShared int) bool {
 	for _, g := range t.guard {
 		if dataflow.Meet(e.vals[g.v], g.rng).IsEmpty() {
-			return nil
+			return false
 		}
 	}
-	c := e.clone()
+	dst.copyFrom(e)
 	for _, g := range t.guard {
-		c.setVal(g.v, dataflow.Meet(c.vals[g.v], g.rng), nShared)
+		dst.setVal(g.v, dataflow.Meet(dst.vals[g.v], g.rng), nShared)
 	}
 	for _, w := range t.writes {
-		c.vals[w.v] = w.img
-		c.ownSet[w.v] = false
+		dst.vals[w.v] = w.img
+		dst.ownSet[w.v] = false
 	}
-	return c
-}
-
-func containsEnv(set stateSet, e *env) bool {
-	for _, x := range set {
-		if envCmp(x, e) == 0 {
-			return true
-		}
-	}
-	return false
+	return true
 }
 
 // stabilize closes a state set under the applicable rely transitions
 // (reflexive-transitive interference closure). Overflowing the disjunct cap
-// degrades to a single-hull closure with widening.
+// degrades to a single-hull closure with widening. Images are built in the
+// walker's scratch environment and copied out only when novel.
 func (w *walker) stabilize(S stateSet) stateSet {
 	if len(w.rely) == 0 || len(S) == 0 || w.eng.bailed {
 		return S
+	}
+	nShared := w.eng.pi.nShared
+	if w.tmp == nil || len(w.tmp.vals) != len(S[0].vals) {
+		w.tmp = newEnv(len(S[0].vals), nShared)
+	}
+	tmp := w.tmp
+	seen := &w.eng.seen
+	seen.reset()
+	for _, e := range S {
+		seen.add(e)
 	}
 	out := append(stateSet{}, S...)
 	overflow := false
@@ -165,8 +170,11 @@ func (w *walker) stabilize(S stateSet) stateSet {
 			if w.eng.spend() {
 				return out
 			}
-			c := applyTrans(t, out[i], w.eng.pi.nShared)
-			if c == nil || containsEnv(out, c) {
+			if !applyTrans(tmp, t, out[i], nShared) {
+				continue
+			}
+			c := seen.addCopy(tmp)
+			if c == nil {
 				continue
 			}
 			out = append(out, c)
@@ -192,19 +200,18 @@ func (w *walker) stabilize(S stateSet) stateSet {
 			if w.eng.spend() {
 				return stateSet{h}
 			}
-			c := applyTrans(t, h, w.eng.pi.nShared)
-			if c == nil {
+			if !applyTrans(tmp, t, h, nShared) {
 				continue
 			}
 			for v := range h.vals {
-				j := dataflow.Join(h.vals[v], c.vals[v])
+				j := dataflow.Join(h.vals[v], tmp.vals[v])
 				if j != h.vals[v] {
 					h.vals[v] = j
 					changed = true
 				}
 			}
 			for v := range h.ownSet {
-				if h.ownSet[v] && !c.ownSet[v] {
+				if h.ownSet[v] && !tmp.ownSet[v] {
 					h.ownSet[v] = false
 					changed = true
 				}
@@ -218,7 +225,7 @@ func (w *walker) stabilize(S stateSet) stateSet {
 				h.vals[v] = dataflow.Widen(prev.vals[v], h.vals[v], w.eng.pi.width)
 			}
 		}
-		prev = h.clone()
+		prev.copyFrom(h)
 	}
 	return stateSet{h}
 }
