@@ -5,7 +5,11 @@
 // rf_<readThread>_<readIdx>_<writeThread>_<writeIdx> for read-from variables
 // and ws_<thread1>_<idx1>_<thread2>_<idx2> for write-serialization variables —
 // and the backend reconstructs the decision order purely from those names,
-// exactly as the paper's modified Z3 does (§4.1, §5.3).
+// exactly as the paper's modified Z3 does (§4.1, §5.3). RFName and WSName
+// define the scheme and ParseName inverts it. Names remain the only
+// interface between the two sides; ClassifyNames reads them from the
+// builder's variable-indexed name table (smt.Builder.Names), so
+// classification needs no name → variable map and no sort.
 //
 // The order is:
 //
@@ -93,44 +97,57 @@ type VarInfo struct {
 	NumWrites int
 }
 
+// RFName is the name of the read-from variable "the read at (readThread,
+// readIdx) takes its value from the write at (writeThread, writeIdx)":
+// rf_<readThread>_<readIdx>_<writeThread>_<writeIdx>. ParseName inverts it.
+func RFName(readThread, readIdx, writeThread, writeIdx int) string {
+	return pairName("rf_", readThread, readIdx, writeThread, writeIdx)
+}
+
+// WSName is the name of the write-serialization variable ordering the write
+// at (thread1, idx1) before the write at (thread2, idx2):
+// ws_<thread1>_<idx1>_<thread2>_<idx2>. ParseName inverts it.
+func WSName(thread1, idx1, thread2, idx2 int) string {
+	return pairName("ws_", thread1, idx1, thread2, idx2)
+}
+
+// pairName renders prefix followed by the four coordinates joined by '_',
+// with the only allocation being the returned string.
+func pairName(prefix string, a, b, c, d int) string {
+	var buf [64]byte
+	out := append(buf[:0], prefix...)
+	out = strconv.AppendInt(out, int64(a), 10)
+	out = append(out, '_')
+	out = strconv.AppendInt(out, int64(b), 10)
+	out = append(out, '_')
+	out = strconv.AppendInt(out, int64(c), 10)
+	out = append(out, '_')
+	out = strconv.AppendInt(out, int64(d), 10)
+	return string(out)
+}
+
 // ParseName classifies a variable name. Names that do not match the rf_/ws_
 // shape are ordering atoms when prefixed ord_, and SSA variables otherwise.
 func ParseName(name string) VarInfo {
 	vi := VarInfo{Name: name, Class: ClassSSA}
 	switch {
 	case strings.HasPrefix(name, "rf_"):
-		parts := strings.Split(name, "_")
-		if len(parts) != 5 {
+		a, b, c, d, ok := parseCoords(name[len("rf_"):])
+		if !ok {
 			return vi
 		}
-		nums := make([]int, 4)
-		for i := 0; i < 4; i++ {
-			n, err := strconv.Atoi(parts[i+1])
-			if err != nil {
-				return vi
-			}
-			nums[i] = n
-		}
-		vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx = nums[0], nums[1], nums[2], nums[3]
+		vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx = a, b, c, d
 		if vi.ReadThread == vi.WriteThread {
 			vi.Class = ClassRFInternal
 		} else {
 			vi.Class = ClassRFExternal
 		}
 	case strings.HasPrefix(name, "ws_"):
-		parts := strings.Split(name, "_")
-		if len(parts) != 5 {
+		a, b, c, d, ok := parseCoords(name[len("ws_"):])
+		if !ok {
 			return vi
 		}
-		nums := make([]int, 4)
-		for i := 0; i < 4; i++ {
-			n, err := strconv.Atoi(parts[i+1])
-			if err != nil {
-				return vi
-			}
-			nums[i] = n
-		}
-		vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx = nums[0], nums[1], nums[2], nums[3]
+		vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx = a, b, c, d
 		vi.Class = ClassWS
 	case strings.HasPrefix(name, "ord_"):
 		vi.Class = ClassOrd
@@ -140,14 +157,50 @@ func ParseName(name string) VarInfo {
 	return vi
 }
 
-// Classify parses every named variable and computes #write for RF variables
-// by grouping them on the read event encoded in the name.
-func Classify(named map[string]sat.Var) []VarInfo {
-	infos := make([]VarInfo, 0, len(named))
+// parseCoords parses exactly four '_'-separated strconv.Atoi integers, in
+// place (no split slice).
+func parseCoords(s string) (a, b, c, d int, ok bool) {
+	var nums [4]int
+	for i := range nums {
+		field := s
+		if i < len(nums)-1 {
+			j := strings.IndexByte(s, '_')
+			if j < 0 {
+				return 0, 0, 0, 0, false
+			}
+			field, s = s[:j], s[j+1:]
+		} else if strings.IndexByte(s, '_') >= 0 {
+			return 0, 0, 0, 0, false
+		}
+		n, err := strconv.Atoi(field)
+		if err != nil {
+			return 0, 0, 0, 0, false
+		}
+		nums[i] = n
+	}
+	return nums[0], nums[1], nums[2], nums[3], true
+}
+
+// ClassifyNames parses a variable-indexed name table (names[v] is the name
+// of SAT variable v, "" for unnamed variables; see smt.Builder.Names) and
+// computes #write for RF variables by grouping them on the read event
+// encoded in the name. The result lists the named variables in variable
+// order.
+func ClassifyNames(names []string) []VarInfo {
+	n := 0
+	for _, name := range names {
+		if name != "" {
+			n++
+		}
+	}
+	infos := make([]VarInfo, 0, n)
 	writeCount := map[[2]int]int{}
-	for name, v := range named {
+	for v, name := range names {
+		if name == "" {
+			continue
+		}
 		vi := ParseName(name)
-		vi.Var = v
+		vi.Var = sat.Var(v)
 		if vi.Class == ClassRFExternal || vi.Class == ClassRFInternal {
 			writeCount[[2]int{vi.ReadThread, vi.ReadIdx}]++
 		}
@@ -159,8 +212,22 @@ func Classify(named map[string]sat.Var) []VarInfo {
 			vi.NumWrites = writeCount[[2]int{vi.ReadThread, vi.ReadIdx}]
 		}
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Var < infos[j].Var })
 	return infos
+}
+
+// Classify is ClassifyNames over a name → variable map such as
+// smt.Builder.NamedVars, where every variable carries one non-empty name.
+// The result is sorted by variable.
+func Classify(named map[string]sat.Var) []VarInfo {
+	size := 0
+	for _, v := range named { //mapiter:ok max is order-independent
+		size = max(size, int(v)+1)
+	}
+	names := make([]string, size)
+	for name, v := range named { //mapiter:ok each variable has its own slot
+		names[v] = name
+	}
+	return ClassifyNames(names)
 }
 
 // ClassNames maps each classified variable to its class string — the form

@@ -15,6 +15,7 @@ package encode
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"zpre/internal/analysis"
@@ -158,8 +159,10 @@ type Stats struct {
 	// fixpoint (zero unless Dataflow is enabled).
 	DataflowTime time.Duration
 	// StaticTime is the time spent in the static interference pre-analysis
-	// (the "static-prune" phase of the telemetry span set; nonzero even
-	// without pruning, since the analysis always runs for its scores).
+	// (the "static-prune" phase of the telemetry span set). The analysis
+	// runs only when consumed, so the encoder leaves this zero unless
+	// StaticPrune or MHB was set; a later VC.StaticAnalysis call adds its
+	// time to the VC's copy.
 	StaticTime time.Duration
 }
 
@@ -179,19 +182,50 @@ type VC struct {
 	// Proof is the recorded inference trace (WithProof mode), checkable
 	// with Builder.CheckProof after an unsat result.
 	Proof *proof.Trace
-	// Static is the static interference analysis of the encoded program
-	// (locksets, may-happen-in-parallel, race classification). It is
-	// computed on every encode — decision strategies use its conflict
-	// scores even without pruning — but set to nil if its per-event
-	// coordinates fail to align with the encoder's, in which case
-	// lockset-based pruning is also disabled.
-	Static *analysis.Result
 	// MHBOrdered (MHB mode, nil otherwise) reports whether the accesses at
 	// the two (thread, index) coordinates are must-ordered — in either
 	// direction — by the closed happens-before relation, including the
-	// closure's derived edges. Decision strategies use it to deprioritise
-	// interference variables whose value is already forced at level 0.
+	// closure's derived edges. Only the ZPREStatic strategy reads it (see
+	// pipeline.Decide): it ranks such interference variables, whose value
+	// is already forced at level 0, below every other pair of their class.
 	MHBOrdered func(t1, i1, t2, i2 int) bool
+
+	// The static pre-analysis, computed on first use (see StaticAnalysis):
+	// program is the encoded program until then, and nil afterwards or
+	// when there is none to analyse (the incremental encoder's VC).
+	program *cprog.Program
+	static  *analysis.Result
+}
+
+// StaticAnalysis returns the static interference analysis of the encoded
+// program (locksets, may-happen-in-parallel, race classification), or nil
+// if its per-event coordinates fail to align with the encoder's. Only
+// StaticPrune, the MHB closure and the ZPREStatic decision order consume
+// it, so it is computed on the first call (by the encoder itself under
+// StaticPrune or MHB) and memoized; its time is added to
+// Stats.StaticTime. The incremental encoder's VC has none. Like the
+// Builder, a VC is not safe for concurrent use.
+func (vc *VC) StaticAnalysis() *analysis.Result {
+	if vc.program != nil {
+		var took time.Duration
+		vc.static, took = analyzeStatic(vc.program, vc.Events)
+		vc.Stats.StaticTime += took
+		vc.program = nil
+	}
+	return vc.static
+}
+
+// analyzeStatic runs the static interference analysis of p and trusts it
+// only when its per-event coordinates align with the encoder's events (a
+// defensive guard against the two walks drifting apart; alignment is also
+// asserted corpus-wide by the test suite).
+func analyzeStatic(p *cprog.Program, events []*Event) (*analysis.Result, time.Duration) {
+	start := time.Now()
+	static, err := analysis.Analyze(p)
+	if err != nil || !alignedWithEvents(static, events) {
+		static = nil
+	}
+	return static, time.Since(start)
 }
 
 // window is a span of events that must not be interleaved by other threads'
@@ -356,18 +390,15 @@ func Program(p *cprog.Program, opts Options) (*VC, error) {
 	}
 	postEvents := e.events[firstPostEvent:]
 
-	// Static interference pre-analysis. Always computed — the decision
-	// strategies consume its conflict scores even without pruning — but
-	// trusted only when its per-event coordinates align with the encoder's
-	// (a defensive guard against the two walks drifting apart; alignment is
-	// also asserted corpus-wide by the test suite).
-	staticStart := time.Now()
-	if static, serr := analysis.Analyze(p); serr == nil && alignedWithEvents(static, e.events) {
-		e.static = static
-	}
-	e.stats.StaticTime = time.Since(staticStart)
+	// Static interference pre-analysis: rfPrunable's lockset criterion needs
+	// it now, under StaticPrune and inside the MHB closure alike; otherwise
+	// it is left to VC.StaticAnalysis, for a decision order that asks.
 	e.prune = opts.StaticPrune
 	e.mhb = opts.MHB
+	eagerStatic := e.prune || e.mhb
+	if eagerStatic {
+		e.static, e.stats.StaticTime = analyzeStatic(p, e.events)
+	}
 
 	// Program order per thread under the memory model.
 	reach := e.emitProgramOrder(initEvents, threadEvents, postEvents)
@@ -392,7 +423,7 @@ func Program(p *cprog.Program, opts Options) (*VC, error) {
 	var selectors []smt.Bool
 	if opts.SelectableAsserts {
 		for i, v := range e.violations {
-			sel := e.bd.NamedBool(fmt.Sprintf("sel_%d", i))
+			sel := e.bd.NamedBool("sel_" + strconv.Itoa(i))
 			e.bd.AssertClause(e.bd.Not(sel), v)
 			selectors = append(selectors, sel)
 		}
@@ -415,7 +446,11 @@ func Program(p *cprog.Program, opts Options) (*VC, error) {
 		Selectors:     selectors,
 		AssertThreads: e.assertThreads,
 		Proof:         trace,
-		Static:        e.static,
+	}
+	if eagerStatic {
+		vc.static = e.static
+	} else {
+		vc.program = p
 	}
 	if e.mhb {
 		vc.MHBOrdered = e.mhbOrderedOracle(reach)
@@ -468,7 +503,7 @@ func (e *encoder) insertAccess(tid int, acc memmodel.Access, ev *Event) int {
 func (e *encoder) addEvent(ts *threadState, name string, isWrite bool, val smt.BV) *Event {
 	idx := e.eventIndex[ts.id]
 	ev := &Event{
-		ID:      e.bd.NewEvent(fmt.Sprintf("t%d_%d", ts.id, idx)),
+		ID:      e.bd.NewEvent("t" + strconv.Itoa(ts.id) + "_" + strconv.Itoa(idx)),
 		Thread:  ts.id,
 		Index:   idx,
 		Var:     name,
@@ -491,12 +526,18 @@ func (e *encoder) addEvent(ts *threadState, name string, isWrite bool, val smt.B
 	return ev
 }
 
+// guardName names the branch-condition variable of thread tid's n-th branch
+// (the control-flow heuristic's guard_ scheme).
+func guardName(tid, n int) string {
+	return "guard_" + strconv.Itoa(tid) + "_" + strconv.Itoa(n)
+}
+
 func (e *encoder) addWrite(ts *threadState, name string, val smt.BV) *Event {
 	return e.addEvent(ts, name, true, val)
 }
 
 func (e *encoder) addRead(ts *threadState, name string) *Event {
-	val := e.bd.NamedBV(fmt.Sprintf("v%d_%d_%s", ts.id, e.eventIndex[ts.id], name), e.opts.Width)
+	val := e.bd.NamedBV("v"+strconv.Itoa(ts.id)+"_"+strconv.Itoa(e.eventIndex[ts.id])+"_"+name, e.opts.Width)
 	ev := e.addEvent(ts, name, false, val)
 	if e.flow != nil {
 		iv := e.flow.Range(name)
@@ -593,7 +634,7 @@ func (e *encoder) execStmt(ts *threadState, s cprog.Stmt, shared map[string]bool
 		// Tag the branch condition so the control-flow heuristic (the
 		// paper's "Other Attempts", after Chen & He 2018) can find it.
 		e.guardCounter++
-		e.bd.NameVar(c, fmt.Sprintf("guard_%d_%d", ts.id, e.guardCounter))
+		e.bd.NameVar(c, guardName(ts.id, e.guardCounter))
 		saved := ts.locals
 		savedGuard := ts.guard
 		savedAbs := ts.abs

@@ -38,8 +38,10 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
+	"zpre/internal/core"
 	"zpre/internal/cprog"
 	"zpre/internal/dataflow"
 	"zpre/internal/memmodel"
@@ -297,7 +299,7 @@ func (inc *Incremental) handleWhile(ts *threadState, st cprog.While, shared map[
 		return err
 	}
 	e.guardCounter++
-	e.bd.NameVar(c, fmt.Sprintf("guard_%d_%d", ts.id, e.guardCounter))
+	e.bd.NameVar(c, guardName(ts.id, e.guardCounter))
 	pos := e.insertAccess(ts.id, memmodel.Access{Marker: true}, nil)
 	f := &frontier{
 		id:        len(inc.frontiers),
@@ -334,7 +336,7 @@ func (inc *Incremental) handleWhile(ts *threadState, st cprog.While, shared map[
 	sort.Strings(f.exitKeys)
 	f.exitVars = make(map[string]smt.BV, len(f.exitKeys))
 	for _, k := range f.exitKeys {
-		f.exitVars[k] = e.bd.NamedBV(fmt.Sprintf("exit_%d_%d_%s", f.thread, f.id, k), e.opts.Width)
+		f.exitVars[k] = e.bd.NamedBV("exit_"+strconv.Itoa(f.thread)+"_"+strconv.Itoa(f.id)+"_"+k, e.opts.Width)
 	}
 	ts.locals = copyLocals(f.exitVars)
 	if ts.abs != nil {
@@ -374,7 +376,7 @@ func (inc *Incremental) extendFrontier(f *frontier) error {
 		return err
 	}
 	e.guardCounter++
-	e.bd.NameVar(next, fmt.Sprintf("guard_%d_%d", f.thread, e.guardCounter))
+	e.bd.NameVar(next, guardName(f.thread, e.guardCounter))
 	f.nextCond = next
 	inc.dirty[f.thread] = true
 	return nil
@@ -484,7 +486,7 @@ func (inc *Incremental) emitDelta() {
 			wj := all[j]
 			for i := 0; i < j; i++ {
 				wi := all[i]
-				ws := bd.NamedBool(fmt.Sprintf("ws_%d_%d_%d_%d", wi.Thread, wi.Index, wj.Thread, wj.Index))
+				ws := bd.NamedBool(core.WSName(wi.Thread, wi.Index, wj.Thread, wj.Index))
 				e.stats.WSVars++
 				atom := bd.Before(wi.ID, wj.ID)
 				bd.AssertClause(bd.Not(ws), atom)
@@ -561,7 +563,7 @@ func (inc *Incremental) addRFCand(rs *readState, w *Event, reach *reachability) 
 	e := inc.e
 	bd := e.bd
 	r := rs.ev
-	rf := bd.NamedBool(fmt.Sprintf("rf_%d_%d_%d_%d", r.Thread, r.Index, w.Thread, w.Index))
+	rf := bd.NamedBool(core.RFName(r.Thread, r.Index, w.Thread, w.Index))
 	e.stats.RFVars++
 	nrf := bd.Not(rf)
 	for bit := 0; bit < e.opts.Width; bit++ {
@@ -590,8 +592,8 @@ func (inc *Incremental) finishBound() BoundAssumptions {
 	e := inc.e
 	bd := e.bd
 	k := inc.bound
-	act := bd.NamedBool(fmt.Sprintf("act_%d", k))
-	errv := bd.NamedBool(fmt.Sprintf("err_%d", k))
+	act := bd.NamedBool("act_" + strconv.Itoa(k))
+	errv := bd.NamedBool("err_" + strconv.Itoa(k))
 	nact := bd.Not(act)
 
 	// Φ_rf_some under act_k: a read's candidate set grows with the bound,

@@ -1,10 +1,10 @@
 package encode
 
 import (
-	"fmt"
 	"sort"
 
 	"zpre/internal/analysis"
+	"zpre/internal/core"
 	"zpre/internal/memmodel"
 	"zpre/internal/smt"
 )
@@ -108,11 +108,14 @@ func (e *encoder) emitReadFrom(reach *reachability) {
 	}
 	sort.Strings(vars) // deterministic encoding order
 
+	// Per-read buffers, reused across reads: nothing below keeps them.
+	var cands []*Event
+	var rfVars, some []smt.Bool
 	for _, v := range vars {
 		writes := writesByVar[v]
 		for _, r := range readsByVar[v] {
 			// Candidate writes: those not provably after the read.
-			var cands []*Event
+			cands = cands[:0]
 			for _, w := range writes {
 				if e.mhbDropped[[2]smt.EventID{r.ID, w.ID}] {
 					// Dropped by the MHB closure fixpoint (checked before the
@@ -137,12 +140,11 @@ func (e *encoder) emitReadFrom(reach *reachability) {
 			if len(cands) == 1 {
 				e.noteSingleCandidate(r, cands[0])
 			}
-			rfVars := make([]smt.Bool, len(cands))
-			some := make([]smt.Bool, 0, len(cands)+1)
-			some = append(some, e.bd.Not(r.Guard))
-			for ci, w := range cands {
-				rf := e.bd.NamedBool(fmt.Sprintf("rf_%d_%d_%d_%d", r.Thread, r.Index, w.Thread, w.Index))
-				rfVars[ci] = rf
+			rfVars = rfVars[:0]
+			some = append(some[:0], e.bd.Not(r.Guard))
+			for _, w := range cands {
+				rf := e.bd.NamedBool(core.RFName(r.Thread, r.Index, w.Thread, w.Index))
+				rfVars = append(rfVars, rf)
 				e.stats.RFVars++
 				nrf := e.bd.Not(rf)
 				// Value equality, bit by bit (strong unit propagation).
@@ -317,7 +319,7 @@ func (e *encoder) emitWriteSerialization(reach *reachability) {
 					e.stats.WSPruned++
 					continue
 				}
-				ws := e.bd.NamedBool(fmt.Sprintf("ws_%d_%d_%d_%d", wi.Thread, wi.Index, wj.Thread, wj.Index))
+				ws := e.bd.NamedBool(core.WSName(wi.Thread, wi.Index, wj.Thread, wj.Index))
 				e.stats.WSVars++
 				atom := e.bd.Before(wi.ID, wj.ID)
 				e.bd.AssertClause(e.bd.Not(ws), atom)

@@ -45,8 +45,14 @@ func TestStaticPruneOffByDefault(t *testing.T) {
 	if vc.Stats.RFPruned != 0 || vc.Stats.WSPruned != 0 {
 		t.Fatalf("pruning must be off by default: %+v", vc.Stats)
 	}
-	if vc.Static == nil {
-		t.Fatal("static analysis should align and be attached even without pruning")
+	if vc.Stats.StaticTime != 0 {
+		t.Fatalf("static analysis ran during an unpruned encode (%v); it must wait for StaticAnalysis", vc.Stats.StaticTime)
+	}
+	if vc.StaticAnalysis() == nil {
+		t.Fatal("static analysis should align on request even without pruning")
+	}
+	if vc.Stats.StaticTime == 0 {
+		t.Error("StaticAnalysis did not account its time in Stats.StaticTime")
 	}
 }
 
@@ -110,8 +116,61 @@ func TestStaticAlignmentCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		if vc.Static == nil {
+		if vc.StaticAnalysis() == nil {
 			t.Errorf("%s: static analysis misaligned with encoder events", b.Name)
+		}
+	}
+}
+
+// TestStaticAnalysisIncrementalVC: the incremental encoder's VC keeps no
+// program to analyse, so StaticAnalysis reports none rather than failing —
+// what zpre+static gets on the incremental path.
+func TestStaticAnalysisIncrementalVC(t *testing.T) {
+	inc, err := NewIncremental(lockedCounterProg(), Options{Model: memmodel.SC, Width: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Extend(); err != nil {
+		t.Fatal(err)
+	}
+	if st := inc.VC().StaticAnalysis(); st != nil {
+		t.Fatalf("incremental VC produced a static analysis: %+v", st)
+	}
+}
+
+// lockShadowedInitProg is a program whose MHB closure fixes an rf edge only
+// with the help of rfPrunable's lockset criterion: t1's x = 1 is
+// overwritten by x = 9 inside the same critical section, so no read in
+// t2's critical section can observe it, and only the static analysis's
+// locksets show that.
+func lockShadowedInitProg(t *testing.T) *cprog.Program {
+	t.Helper()
+	p, err := cprog.Parse("lock_shadowed_init", `shared x = 5; shared m; shared y;
+thread t1 { lock(m); x = 1; x = 9; unlock(m); }
+thread t2 { lock(m); assume(x < 4); y = x; unlock(m); }
+main { assert(y != 7); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestMHBUsesLocksetWithoutPrune: the MHB closure consults the static
+// analysis's locksets whether or not StaticPrune is set, so an MHB encode
+// runs the analysis itself. Without it, the closure above fixes nothing.
+func TestMHBUsesLocksetWithoutPrune(t *testing.T) {
+	for _, mm := range memmodel.All() {
+		vc, err := Program(lockShadowedInitProg(t), Options{Model: mm, Width: 4, MHB: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := vc.Stats
+		if st.MHBFixedRF != 1 || st.MHBFixedFR != 1 || st.MHBPruned != 2 {
+			t.Errorf("%v: MHB counters rf=%d fr=%d pruned=%d, want 1 1 2",
+				mm, st.MHBFixedRF, st.MHBFixedFR, st.MHBPruned)
+		}
+		if st.StaticTime == 0 {
+			t.Errorf("%v: the MHB encode did not run the static analysis", mm)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 
+	"zpre/internal/core"
 	"zpre/internal/encode"
 	"zpre/internal/sat"
 	"zpre/internal/smt"
@@ -114,23 +115,21 @@ func WithModel(vc *encode.VC, g *Graph) *Graph {
 		}
 		out.Edges = append(out.Edges, Edge{From: from, To: to, Kind: FR})
 	}
-	for name, v := range vc.Builder.NamedVars() {
+	for v, name := range vc.Builder.Names() {
+		vi := core.ParseName(name)
 		var kind EdgeKind
 		switch {
-		case strings.HasPrefix(name, "rf_"):
+		case vi.Class == core.ClassRFExternal || vi.Class == core.ClassRFInternal:
 			kind = RF
-		case strings.HasPrefix(name, "ws_"):
+		case vi.Class == core.ClassWS:
 			kind = WS
 		default:
 			continue
 		}
-		if vc.Builder.Solver().Value(v) != sat.LTrue {
+		if vc.Builder.Solver().Value(sat.Var(v)) != sat.LTrue {
 			continue
 		}
-		var a, b, c, d int
-		if _, err := fmt.Sscanf(name[3:], "%d_%d_%d_%d", &a, &b, &c, &d); err != nil {
-			continue
-		}
+		a, b, c, d := vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx
 		if kind == RF {
 			// rf_<rt>_<ri>_<wt>_<wi>: edge write → read.
 			r, okR := byThreadIdx[[2]int{a, b}]

@@ -319,6 +319,9 @@ func Run(p *cprog.Program, opts Options) (Result, *encode.VC, error) {
 	span = tr.Start("decide")
 	infos, decider := Decide(vc, opts)
 	tr.End(span)
+	// ZPREStatic without an eager consumer runs the static analysis inside
+	// Decide; report its time like the encoder's.
+	res.VC.StaticTime = vc.Stats.StaticTime
 
 	var tracer *telemetry.SolverTracer
 	searchTracer := opts.Tracer
@@ -413,27 +416,31 @@ func (o Options) EncodeOptions(ranges map[string]dataflow.Interval) encode.Optio
 
 // Decide is the decide stage: it classifies the instance's named variables
 // and builds the strategy's decision order (nil for Baseline, which keeps
-// the solver's own VSIDS order). When the VC carries an aligned static
-// analysis, its conflict scores feed ZPREStatic; when the MHB closure ran,
-// interference variables whose two accesses it proved must-ordered are
-// ranked below every other pair — unit propagation from the level-0 fixed
-// edges forces them, so deciding them early is pure search noise.
+// the solver's own VSIDS order). Only ZPREStatic reads a score: the static
+// analysis's conflict scores (computed here on first use, when the VC's
+// analysis aligns) and, when the MHB closure ran, a rank below every other
+// pair for interference variables whose two accesses it proved
+// must-ordered — unit propagation from the level-0 fixed edges forces
+// them, so deciding them early is pure search noise. The other strategies
+// ignore both feeds.
 func Decide(vc *encode.VC, opts Options) ([]core.VarInfo, sat.Decider) {
-	infos := core.Classify(vc.Builder.NamedVars())
+	infos := core.ClassifyNames(vc.Builder.Names())
 	cfg := core.Config{
 		Seed:             opts.Seed,
 		Polarity:         opts.Polarity,
 		DisableNumWrites: opts.DisableNumWrites,
 	}
-	if st, ordered := vc.Static, vc.MHBOrdered; st != nil || ordered != nil {
-		cfg.Score = func(vi core.VarInfo) int {
-			if ordered != nil && ordered(vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx) {
-				return -1
+	if opts.Strategy == core.ZPREStatic {
+		if st, ordered := vc.StaticAnalysis(), vc.MHBOrdered; st != nil || ordered != nil {
+			cfg.Score = func(vi core.VarInfo) int {
+				if ordered != nil && ordered(vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx) {
+					return -1
+				}
+				if st == nil {
+					return 0
+				}
+				return st.PairScore(vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx)
 			}
-			if st == nil {
-				return 0
-			}
-			return st.PairScore(vi.ReadThread, vi.ReadIdx, vi.WriteThread, vi.WriteIdx)
 		}
 	}
 	if dec := core.NewDecider(opts.Strategy, infos, cfg); dec != nil {

@@ -48,7 +48,9 @@ type TheoryImplication struct {
 // propagation), theory lemmas (valid in the attached theory, checkable by
 // replaying them against it) and deletions. A recorded trace ending in the
 // empty learnt clause is an independently checkable proof of
-// unsatisfiability (see internal/proof).
+// unsatisfiability (see internal/proof). The slices are only valid for the
+// duration of the call (they may be solver scratch or arena storage), so an
+// implementation copies what it keeps.
 type ProofRecorder interface {
 	// Input records a problem clause as given to AddClause.
 	Input(lits []Lit)

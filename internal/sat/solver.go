@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"slices"
 	"time"
 )
 
@@ -98,6 +99,9 @@ type Solver struct {
 	clauses []ClauseRef
 	learnts []ClauseRef
 	watches [][]watcher
+	// watchSlab is the unused tail of the block that empty watch lists
+	// take their first capacity from (see watch).
+	watchSlab []watcher
 
 	assigns  []LBool
 	polarity []bool // saved phase: true = prefer the negative literal
@@ -152,7 +156,9 @@ type Solver struct {
 	conflCore   []Lit
 	model       []LBool
 
-	tempConfl []Lit // reusable container for theory conflict clauses
+	tempConfl    []Lit // reusable container for theory conflict clauses
+	addScratch   []Lit // AddClause's simplified copy, empty between calls
+	proofScratch []Lit // AddClause's input as handed to Proof
 }
 
 // theoryConflRef is the sentinel conflict "clause" for theory conflicts,
@@ -182,9 +188,15 @@ func New() *Solver {
 	return s
 }
 
+// minVarCap is the per-variable arrays' first capacity (see growVars).
+const minVarCap = 64
+
 // NewVar introduces a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.assigns))
+	if len(s.assigns) == cap(s.assigns) {
+		s.growVars(max(minVarCap, 2*cap(s.assigns)))
+	}
 	s.assigns = append(s.assigns, LUndef)
 	s.polarity = append(s.polarity, true)
 	s.reason = append(s.reason, NullRef)
@@ -198,6 +210,25 @@ func (s *Solver) NewVar() Var {
 	s.order.growTo(int(v) + 1)
 	s.order.push(v)
 	return v
+}
+
+// growVars grows every per-variable array to capacity n at once, so the
+// dozen appends of NewVar reallocate together, doubling from minVarCap,
+// rather than each from empty.
+func (s *Solver) growVars(n int) {
+	grow := n - len(s.assigns)
+	s.assigns = slices.Grow(s.assigns, grow)
+	s.polarity = slices.Grow(s.polarity, grow)
+	s.reason = slices.Grow(s.reason, grow)
+	s.level = slices.Grow(s.level, grow)
+	s.occs = slices.Grow(s.occs, grow)
+	s.elim = slices.Grow(s.elim, grow)
+	s.activity = slices.Grow(s.activity, grow)
+	s.seen = slices.Grow(s.seen, grow)
+	s.lbdSeen = slices.Grow(s.lbdSeen, grow)
+	s.watches = slices.Grow(s.watches, 2*n-len(s.watches))
+	s.order.indices = slices.Grow(s.order.indices, n-len(s.order.indices))
+	s.order.heap = slices.Grow(s.order.heap, n-len(s.order.heap))
 }
 
 // SetPhase sets the initial saved phase for a variable: the polarity its
@@ -301,7 +332,10 @@ func (s *Solver) BumpActivity(v Var) { s.varBump(v) }
 // unsatisfiable.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.Proof != nil {
-		s.Proof.Input(lits)
+		// Hand the recorder a copy in solver scratch, so lits itself never
+		// escapes and callers' variadic clauses stay on their stacks.
+		s.proofScratch = append(s.proofScratch[:0], lits...)
+		s.Proof.Input(s.proofScratch)
 	}
 	if !s.ok {
 		return false
@@ -309,32 +343,13 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause called during search")
 	}
-	// Sort-free simplification: drop duplicates, false literals; detect
-	// tautologies and satisfied clauses.
-	out := make([]Lit, 0, len(lits))
-	for _, l := range lits {
-		if s.elim[l.Var()] {
-			panic("sat: AddClause over a BVE-eliminated variable")
-		}
-		switch s.valueLitInternal(l) {
-		case LTrue:
-			return true // already satisfied at top level
-		case LFalse:
-			continue
-		}
-		dup := false
-		for _, o := range out {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == l.Neg() {
-				return true // tautology
-			}
-		}
-		if !dup {
-			out = append(out, l)
-		}
+	// Sort-free simplification into the reused scratch: drop duplicates and
+	// false literals; detect tautologies and satisfied clauses. The scratch
+	// is handed back emptied on every path, so the next call starts clean.
+	out, satisfied := s.simplifyInput(s.addScratch[:0], lits)
+	s.addScratch = out[:0]
+	if satisfied {
+		return true
 	}
 	switch len(out) {
 	case 0:
@@ -356,6 +371,37 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	return true
 }
 
+// simplifyInput appends to out the literals of lits that are not false at
+// the top level, without duplicates. satisfied is true when some literal is
+// already true or the clause is a tautology; out is then incomplete.
+func (s *Solver) simplifyInput(out, lits []Lit) (_ []Lit, satisfied bool) {
+	for _, l := range lits {
+		if s.elim[l.Var()] {
+			panic("sat: AddClause over a BVE-eliminated variable")
+		}
+		switch s.valueLitInternal(l) {
+		case LTrue:
+			return out, true
+		case LFalse:
+			continue
+		}
+		dup := false
+		for _, o := range out {
+			if o == l {
+				dup = true
+				break
+			}
+			if o == l.Neg() {
+				return out, true
+			}
+		}
+		if !dup {
+			out = append(out, l)
+		}
+	}
+	return out, false
+}
+
 // countOccs bumps the occurrence counters of the clause's variables. The
 // counters are monotone (never decremented on deletion): over-counting only
 // costs a skipped decision elision, never soundness.
@@ -367,8 +413,31 @@ func (s *Solver) countOccs(lits []Lit) {
 
 func (s *Solver) attach(r ClauseRef) {
 	lits := s.ca.lits(r)
-	s.watches[lits[0].Neg()] = append(s.watches[lits[0].Neg()], watcher{r, lits[1]})
-	s.watches[lits[1].Neg()] = append(s.watches[lits[1].Neg()], watcher{r, lits[0]})
+	s.watch(lits[0].Neg(), watcher{r, lits[1]})
+	s.watch(lits[1].Neg(), watcher{r, lits[0]})
+}
+
+// Watch-list slab sizing: a literal's first watch list is a
+// watchSlabInit-capacity window of a shared watchSlabChunk-watcher block,
+// so attaching a clause does not allocate until a list outgrows it.
+const (
+	watchSlabInit  = 4
+	watchSlabChunk = 1024
+)
+
+// watch appends w to p's watch list. An empty list takes its first capacity
+// from the shared slab as a 3-index slice: an append past that capacity
+// reallocates the list rather than spilling into a neighbour's window.
+func (s *Solver) watch(p Lit, w watcher) {
+	ws := s.watches[p]
+	if cap(ws) == 0 {
+		if len(s.watchSlab) < watchSlabInit {
+			s.watchSlab = make([]watcher, watchSlabChunk)
+		}
+		ws = s.watchSlab[:0:watchSlabInit]
+		s.watchSlab = s.watchSlab[watchSlabInit:]
+	}
+	s.watches[p] = append(ws, w)
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }

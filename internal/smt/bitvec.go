@@ -1,6 +1,10 @@
 package smt
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // BV is a compiled bit-vector term: a fixed-width vector of SAT literals,
 // least-significant bit first. BVs are produced by bit-blasting, the same
@@ -34,10 +38,18 @@ func (bd *Builder) NewBV(width int) BV {
 
 // NamedBV introduces a fresh bit-vector variable whose per-bit SAT variables
 // carry the name (name.0, name.1, ...) for model extraction and debugging.
+// The bit names are substrings of one string, so naming costs one
+// allocation per vector rather than one per bit.
 func (bd *Builder) NamedBV(name string, width int) BV {
 	bits := make([]Bool, width)
+	var sb strings.Builder
+	sb.Grow(width * (len(name) + len(".00")))
 	for i := range bits {
-		bits[i] = bd.NamedBool(fmt.Sprintf("%s.%d", name, i))
+		start := sb.Len()
+		sb.WriteString(name)
+		sb.WriteByte('.')
+		sb.WriteString(strconv.Itoa(i))
+		bits[i] = bd.NamedBool(sb.String()[start:])
 	}
 	v := BV{bits}
 	bd.bvByName[name] = v

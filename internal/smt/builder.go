@@ -3,7 +3,7 @@ package smt
 import (
 	"context"
 	"errors"
-	"fmt"
+	"sort"
 	"time"
 
 	"zpre/internal/order"
@@ -22,10 +22,15 @@ type Builder struct {
 	solver  *sat.Solver
 	trueLit sat.Lit
 
-	gates    map[gateKey]sat.Lit
-	names    map[sat.Var]string
-	byName   map[string]sat.Var
+	gates map[gateKey]sat.Lit
+	// names is the variable-indexed name table: names[v] is the name given
+	// to v by NamedBool or NameVar, "" for unnamed variables and for
+	// ordering atoms (whose ord_ names VarName renders on demand). It may be
+	// shorter than the variable count; missing entries are unnamed.
+	names    []string
+	named    int // number of non-empty entries in names
 	bvByName map[string]BV
+	clause   []sat.Lit // AssertClause's reused literal buffer
 
 	eventNames []string
 	fixedEdges [][2]int32
@@ -77,8 +82,6 @@ func newBuilder(withProof bool) (*Builder, *proof.Trace) {
 		solver:   s,
 		trueLit:  sat.PosLit(t),
 		gates:    map[gateKey]sat.Lit{},
-		names:    map[sat.Var]string{},
-		byName:   map[string]sat.Var{},
 		bvByName: map[string]BV{},
 		atomVars: map[[2]int32]sat.Var{},
 	}, tr
@@ -111,16 +114,62 @@ func (bd *Builder) NumClauses() int { return bd.solver.NClauses() }
 // NumAssertions returns the number of top-level Assert calls.
 func (bd *Builder) NumAssertions() int { return bd.asserted }
 
-// VarName returns the name of a named variable ("" if unnamed).
-func (bd *Builder) VarName(v sat.Var) string { return bd.names[v] }
+// VarName returns the name of a named variable ("" if unnamed). Ordering
+// atoms are named ord_<a>_<b> after their two events, rendered on demand.
+func (bd *Builder) VarName(v sat.Var) string {
+	if name := bd.name(v); name != "" {
+		return name
+	}
+	if a, ok := bd.atomOf(v); ok {
+		return "ord_" + bd.eventNames[a.a] + "_" + bd.eventNames[a.b]
+	}
+	return ""
+}
 
-// NamedVars returns the name → SAT variable table. The decision strategies
-// in internal/core classify variables from exactly this table, mirroring the
-// paper's "recognise interference variables by their names".
+// name returns the table entry of v ("" when unnamed or an ordering atom).
+func (bd *Builder) name(v sat.Var) string {
+	if int(v) < len(bd.names) {
+		return bd.names[v]
+	}
+	return ""
+}
+
+// setName records name as the name of v.
+func (bd *Builder) setName(v sat.Var, name string) {
+	for int(v) >= len(bd.names) {
+		bd.names = append(bd.names, "")
+	}
+	bd.names[v] = name
+	bd.named++
+}
+
+// atomOf finds the ordering atom whose variable is v. Atom variables are
+// allocated in registration order, so atomList is sorted by variable.
+func (bd *Builder) atomOf(v sat.Var) (registeredAtom, bool) {
+	i := sort.Search(len(bd.atomList), func(i int) bool { return bd.atomList[i].v >= v })
+	if i < len(bd.atomList) && bd.atomList[i].v == v {
+		return bd.atomList[i], true
+	}
+	return registeredAtom{}, false
+}
+
+// Names returns the variable-indexed name table: Names()[v] is the name of
+// variable v, "" for unnamed variables and ordering atoms. It may be shorter
+// than NumVars. The slice is the builder's own; callers must not modify it,
+// and it is valid until the next variable is named. internal/core
+// classifies variables from exactly this table, mirroring the paper's
+// "recognise interference variables by their names".
+func (bd *Builder) Names() []string { return bd.names }
+
+// NamedVars returns the name → SAT variable table derived from Names (the
+// ordering atoms are not in it). When a name was given twice, the later
+// variable wins.
 func (bd *Builder) NamedVars() map[string]sat.Var {
-	out := make(map[string]sat.Var, len(bd.byName))
-	for k, v := range bd.byName {
-		out[k] = v
+	out := make(map[string]sat.Var, bd.named)
+	for v, name := range bd.names {
+		if name != "" {
+			out[name] = sat.Var(v)
+		}
 	}
 	return out
 }
@@ -182,7 +231,6 @@ func (bd *Builder) Before(a, b EventID) Bool {
 	v, ok := bd.atomVars[[2]int32{x, y}]
 	if !ok {
 		v = bd.solver.NewVar()
-		bd.names[v] = fmt.Sprintf("ord_%s_%s", bd.eventNames[x], bd.eventNames[y])
 		bd.atomVars[[2]int32{x, y}] = v
 		bd.atomList = append(bd.atomList, registeredAtom{v: v, a: x, b: y})
 	}
@@ -199,11 +247,11 @@ func (bd *Builder) Assert(b Bool) {
 // avoiding intermediate OR gates.
 func (bd *Builder) AssertClause(terms ...Bool) {
 	bd.asserted++
-	lits := make([]sat.Lit, len(terms))
-	for i, t := range terms {
-		lits[i] = t.lit
+	bd.clause = bd.clause[:0]
+	for _, t := range terms {
+		bd.clause = append(bd.clause, t.lit)
 	}
-	bd.solver.AddClause(lits...)
+	bd.solver.AddClause(bd.clause...)
 }
 
 // AssertEq asserts a = b over bit-vectors clause-by-clause (cheaper than
@@ -416,10 +464,16 @@ func (bd *Builder) BVByName(name string) (BV, bool) {
 }
 
 // BoolByName returns a named Boolean variable, if declared.
+// When a name was given twice, the later variable is returned, as in
+// NamedVars.
 func (bd *Builder) BoolByName(name string) (Bool, bool) {
-	v, ok := bd.byName[name]
-	if !ok {
+	if name == "" {
 		return Bool{}, false
 	}
-	return Bool{sat.PosLit(v)}, true
+	for v := len(bd.names) - 1; v >= 0; v-- {
+		if bd.names[v] == name {
+			return Bool{sat.PosLit(sat.Var(v))}, true
+		}
+	}
+	return Bool{}, false
 }

@@ -69,19 +69,20 @@ func (bd *Builder) NameVar(b Bool, name string) {
 	if v == bd.trueLit.Var() {
 		return
 	}
-	if _, taken := bd.names[v]; taken {
+	if bd.name(v) != "" {
 		return
 	}
-	bd.names[v] = name
-	bd.byName[name] = v
+	if _, atom := bd.atomOf(v); atom {
+		return
+	}
+	bd.setName(v, name)
 }
 
 // NamedBool introduces a fresh Boolean variable with a name visible to the
 // backend (decision strategies recognise interference variables by name).
 func (bd *Builder) NamedBool(name string) Bool {
 	b := bd.NewBool()
-	bd.names[b.lit.Var()] = name
-	bd.byName[name] = b.lit.Var()
+	bd.setName(b.lit.Var(), name)
 	return b
 }
 
