@@ -26,10 +26,12 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"zpre/internal/sat"
 )
@@ -187,14 +189,24 @@ func parseCoords(s string) (a, b, c, d int, ok bool) {
 // encoded in the name. The result lists the named variables in variable
 // order.
 func ClassifyNames(names []string) []VarInfo {
+	return new(Workspace).ClassifyNames(names)
+}
+
+// ClassifyNames is the package function ClassifyNames with the result in
+// the workspace's storage: valid until the next ClassifyNames or Release.
+func (w *Workspace) ClassifyNames(names []string) []VarInfo {
 	n := 0
 	for _, name := range names {
 		if name != "" {
 			n++
 		}
 	}
-	infos := make([]VarInfo, 0, n)
-	writeCount := map[[2]int]int{}
+	infos := slices.Grow(w.infos[:0], n)
+	if w.writeCount == nil {
+		w.writeCount = map[[2]int]int{}
+	}
+	writeCount := w.writeCount
+	clear(writeCount)
 	for v, name := range names {
 		if name == "" {
 			continue
@@ -212,6 +224,7 @@ func ClassifyNames(names []string) []VarInfo {
 			vi.NumWrites = writeCount[[2]int{vi.ReadThread, vi.ReadIdx}]
 		}
 	}
+	w.infos = infos
 	return infos
 }
 
@@ -341,8 +354,13 @@ const (
 type Decider struct {
 	order    []sat.Var // interference variables, highest priority first
 	cursor   int
-	rng      *rand.Rand
 	polarity PolarityMode
+	// rng draws the random polarities. It is seeded on the first draw, so
+	// an instance decided without one skips the seeding work, and a
+	// recycled decider re-seeds its source instead of allocating one.
+	rng    *rand.Rand
+	seed   int64
+	seeded bool
 }
 
 // Config customises NewDecider.
@@ -364,11 +382,50 @@ type Config struct {
 // NewDecider builds the decision strategy for the given classified variables.
 // It returns nil for Baseline (the solver's default order is used unchanged).
 func NewDecider(strategy Strategy, infos []VarInfo, cfg Config) *Decider {
+	return new(Workspace).NewDecider(strategy, infos, cfg)
+}
+
+// Workspace is the decide stage's storage: the classification table, the
+// ranking scratch, and the decider with its random source. Its methods
+// compute exactly what the package functions of the same names do, random
+// polarity sequence included, but into storage that Release hands to the
+// next instance (see GetWorkspace): once the slices have grown,
+// classification and ranking allocate nothing.
+type Workspace struct {
+	infos      []VarInfo
+	writeCount map[[2]int]int
+	itf        []VarInfo
+	guards     []VarInfo
+	ranked     []VarInfo
+	scores     []int
+	idx        []int
+	dec        Decider
+}
+
+var workspacePool = sync.Pool{New: func() any { return new(Workspace) }}
+
+// GetWorkspace returns an empty workspace from the package pool.
+func GetWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
+
+// Release returns the workspace to the pool. The VarInfo table and the
+// decider it produced are invalid afterwards.
+func (w *Workspace) Release() {
+	// Drop the name strings so the pool does not keep them alive.
+	clear(w.infos)
+	clear(w.itf)
+	clear(w.guards)
+	clear(w.ranked)
+	workspacePool.Put(w)
+}
+
+// NewDecider is the package function NewDecider with the decider in the
+// workspace's storage: valid until the next NewDecider or Release.
+func (w *Workspace) NewDecider(strategy Strategy, infos []VarInfo, cfg Config) *Decider {
 	if strategy == Baseline {
 		return nil
 	}
-	itf := make([]VarInfo, 0, len(infos))
-	guards := make([]VarInfo, 0)
+	itf := w.itf[:0]
+	guards := w.guards[:0]
 	for _, vi := range infos {
 		if vi.Class.Interference() {
 			itf = append(itf, vi)
@@ -377,9 +434,10 @@ func NewDecider(strategy Strategy, infos []VarInfo, cfg Config) *Decider {
 			guards = append(guards, vi)
 		}
 	}
+	w.itf, w.guards = itf, guards
 	if strategy == ZPRE || strategy == ZPREBranch || strategy == ZPREStatic {
-		ranked := make([]VarInfo, len(itf))
-		copy(ranked, itf)
+		ranked := append(w.ranked[:0], itf...)
+		w.ranked = ranked
 		if cfg.DisableNumWrites {
 			for i := range ranked {
 				ranked[i].NumWrites = 0
@@ -390,60 +448,57 @@ func NewDecider(strategy Strategy, infos []VarInfo, cfg Config) *Decider {
 			if cfg.Score != nil {
 				score = cfg.Score
 			}
-			scores := make([]int, len(ranked))
+			scores := w.scores[:0]
+			idx := w.idx[:0]
 			for i := range ranked {
-				scores[i] = score(ranked[i])
+				scores = append(scores, score(ranked[i]))
+				idx = append(idx, i)
 			}
-			idx := make([]int, len(ranked))
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.SliceStable(idx, func(a, b int) bool {
-				vi, vj := ranked[idx[a]], ranked[idx[b]]
+			w.scores, w.idx = scores, idx
+			slices.SortStableFunc(idx, func(a, b int) int {
+				vi, vj := ranked[a], ranked[b]
 				if ri, rj := classRank(vi.Class), classRank(vj.Class); ri != rj {
-					return ri < rj
+					return cmp.Compare(ri, rj)
 				}
-				if si, sj := scores[idx[a]], scores[idx[b]]; si != sj {
-					return si > sj // racy pairs first
+				if si, sj := scores[a], scores[b]; si != sj {
+					return cmp.Compare(sj, si) // racy pairs first
 				}
-				return vi.NumWrites > vj.NumWrites
+				return cmp.Compare(vj.NumWrites, vi.NumWrites)
 			})
-			out := make([]VarInfo, len(ranked))
-			for i, j := range idx {
-				out[i] = ranked[j]
+			itf = itf[:0]
+			for _, j := range idx {
+				itf = append(itf, ranked[j])
 			}
-			itf = out
+			w.itf = itf
 		} else {
-			sort.SliceStable(ranked, func(i, j int) bool {
-				if PriorTo(ranked[i], ranked[j]) {
-					return true
+			slices.SortStableFunc(ranked, func(a, b VarInfo) int {
+				switch {
+				case PriorTo(a, b):
+					return -1
+				case PriorTo(b, a):
+					return 1
 				}
-				if PriorTo(ranked[j], ranked[i]) {
-					return false
-				}
-				return false // equal priority: keep stable (variable) order
+				return 0 // equal priority: keep stable (variable) order
 			})
 			itf = ranked
 		}
 	}
-	var picked []VarInfo
+	picked := itf
 	switch strategy {
 	case BranchFirst:
 		picked = guards
 	case ZPREBranch:
 		picked = append(itf, guards...)
-	default:
-		picked = itf
 	}
-	order := make([]sat.Var, len(picked))
-	for i, vi := range picked {
-		order[i] = vi.Var
+	d := &w.dec
+	d.order = d.order[:0]
+	for _, vi := range picked {
+		d.order = append(d.order, vi.Var)
 	}
-	return &Decider{
-		order:    order,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		polarity: cfg.Polarity,
-	}
+	d.cursor = 0
+	d.polarity = cfg.Polarity
+	d.seed, d.seeded = cfg.Seed, false
+	return d
 }
 
 // classRank orders the interference classes for ZPREStatic: external RF,
@@ -480,6 +535,14 @@ func (d *Decider) pickNeg() bool {
 	case PolarityFalse:
 		return true
 	default:
+		if !d.seeded {
+			if d.rng == nil {
+				d.rng = rand.New(rand.NewSource(d.seed))
+			} else {
+				d.rng.Seed(d.seed)
+			}
+			d.seeded = true
+		}
 		return d.rng.Intn(2) == 1
 	}
 }

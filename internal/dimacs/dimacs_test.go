@@ -2,7 +2,10 @@ package dimacs
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -132,5 +135,50 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResetAcrossCorpus runs the solver-reuse check over the DIMACS corpus:
+// for each instance A and its successor B (in file order, each under a
+// deterministic assumption), it solves A, Resets the solver, solves B, and
+// requires the status, model, conflict core and Stats of a new solver
+// solving B.
+func TestResetAcrossCorpus(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.cnf"))
+	if err != nil || len(paths) < 2 {
+		t.Fatalf("testdata corpus: %v (%d files)", err, len(paths))
+	}
+	formulas := make([]*Formula, len(paths))
+	for i, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if formulas[i], err = Parse(bytes.NewReader(data)); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+	}
+	assume := func(i int) []sat.Lit {
+		if formulas[i].NumVars == 0 {
+			return nil
+		}
+		return []sat.Lit{sat.MkLit(0, i%2 == 1)}
+	}
+	solve := func(s *sat.Solver, i int) string {
+		LoadInto(s, formulas[i])
+		st := s.SolveWithAssumptions(assume(i)...)
+		return fmt.Sprintf("%v %s core=%v stats=%+v mem=%d",
+			st, Model(s, formulas[i].NumVars), s.ConflictCore(), s.Stats(), s.MemApprox())
+	}
+	for i := range formulas {
+		j := (i + 1) % len(formulas)
+		s := sat.New()
+		solve(s, i)
+		s.Reset()
+		got := solve(s, j)
+		if want := solve(sat.New(), j); got != want {
+			t.Errorf("%s after %s: Reset solver differs from a new one:\n got  %s\n want %s",
+				paths[j], paths[i], got, want)
+		}
 	}
 }

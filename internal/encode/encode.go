@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"zpre/internal/analysis"
+	"zpre/internal/core"
 	"zpre/internal/cprog"
 	"zpre/internal/dataflow"
 	"zpre/internal/memmodel"
@@ -195,6 +196,33 @@ type VC struct {
 	// when there is none to analyse (the incremental encoder's VC).
 	program *cprog.Program
 	static  *analysis.Result
+
+	// decide is the decide stage's storage (see DecideWorkspace).
+	decide *core.Workspace
+}
+
+// DecideWorkspace returns the storage the decide stage classifies and
+// ranks this instance's variables in: drawn from core's pool on the first
+// call, the same workspace afterwards, and handed back by Release.
+func (vc *VC) DecideWorkspace() *core.Workspace {
+	if vc.decide == nil {
+		vc.decide = core.GetWorkspace()
+	}
+	return vc.decide
+}
+
+// Release hands the instance's solving storage — the Builder's and the
+// decide stage's — back to their pools for the next instance. Afterwards
+// the Builder, its name table, its model values and the decider built for
+// the instance are invalid; Events, Stats and a recorded Proof stay the
+// caller's. Check and witness extraction must run before Release.
+// Releasing twice is a no-op.
+func (vc *VC) Release() {
+	vc.Builder.Release()
+	if vc.decide != nil {
+		vc.decide.Release()
+		vc.decide = nil
+	}
 }
 
 // StaticAnalysis returns the static interference analysis of the encoded
@@ -342,10 +370,12 @@ func Program(p *cprog.Program, opts Options) (*VC, error) {
 		flowTime = time.Since(dfStart)
 	}
 	nThreads := len(p.Threads) + 1
-	bd := smt.NewBuilder()
+	var bd *smt.Builder
 	var trace *proof.Trace
 	if opts.WithProof {
 		bd, trace = smt.NewBuilderWithProof()
+	} else {
+		bd = smt.NewBuilder()
 	}
 	e := &encoder{
 		bd:         bd,
@@ -377,6 +407,7 @@ func Program(p *cprog.Program, opts Options) (*VC, error) {
 	for ti, t := range p.Threads {
 		ts := e.newThreadState(ti + 1)
 		if err := e.execStmts(ts, t.Body, shared); err != nil {
+			bd.Release()
 			return nil, err
 		}
 	}
@@ -386,6 +417,7 @@ func Program(p *cprog.Program, opts Options) (*VC, error) {
 	e.addFence(main)
 	firstPostEvent := len(e.events)
 	if err := e.execStmts(main, p.Post, shared); err != nil {
+		bd.Release()
 		return nil, err
 	}
 	postEvents := e.events[firstPostEvent:]

@@ -689,7 +689,11 @@ func RunOne(task Task, strat core.Strategy, cfg Config) (out RunResult) {
 		running.Add(1)
 		defer running.Add(-1)
 	}
-	out.Result, _, out.Err = pipeline.Run(task.Bench.Program, opts)
+	var vc *encode.VC
+	out.Result, vc, out.Err = pipeline.Run(task.Bench.Program, opts)
+	if vc != nil {
+		vc.Release()
+	}
 	return out
 }
 

@@ -237,6 +237,9 @@ func runSweepGroup(g sweepGroup, si int, cfg Config, rec *recorder, resume map[s
 		}
 		rec.record(idx, out)
 	}
+	if sweep != nil {
+		sweep.Release()
+	}
 	// Each bound's VC stats are cumulative for the whole sweep, so only the
 	// deepest completed bound is folded into the metrics — counting every
 	// bound would multiply the sweep's prune counts by the bound count.

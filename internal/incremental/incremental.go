@@ -148,6 +148,11 @@ func New(p *cprog.Program, opts Options) (*Sweep, error) {
 	return &Sweep{inc: inc, opts: opts}, nil
 }
 
+// Release hands the sweep's solving storage back to the pools the next
+// instance draws from (see encode.VC.Release). The sweep and its VC are
+// unusable afterwards; releasing twice is a no-op.
+func (s *Sweep) Release() { s.inc.VC().Release() }
+
 // Bound returns the last extended bound (0 before the first Next).
 func (s *Sweep) Bound() int { return s.inc.Bound() }
 
@@ -236,6 +241,7 @@ func Run(p *cprog.Program, opts Options, maxBound int) ([]BoundResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	var out []BoundResult
 	for k := 1; k <= maxBound; k++ {
 		br, err := s.Next()

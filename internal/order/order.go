@@ -52,6 +52,7 @@ type Theory struct {
 	dirty map[int32]struct{} // nodes touched since last Propagate (eager mode)
 
 	scratch []sat.Lit
+	visit   []int8 // acyclicity checks' DFS state
 
 	stats Stats
 }
@@ -76,16 +77,41 @@ func (t *Theory) Stats() Stats { return t.stats }
 // New creates an ordering theory over events 0..n-1.
 func New(n int) *Theory {
 	t := &Theory{
-		n:           n,
-		adj:         make([][]edge, n),
-		atoms:       make(map[sat.Var]atom),
-		atomsByNode: make([][]sat.Var, n),
-		mark:        make([]int32, n),
-		parentNode:  make([]int32, n),
-		parentLit:   make([]sat.Lit, n),
-		dirty:       map[int32]struct{}{},
+		atoms: make(map[sat.Var]atom),
+		dirty: map[int32]struct{}{},
 	}
+	t.GrowTo(n)
 	return t
+}
+
+// Reset returns the theory to the state New(0) gives — no events, edges,
+// atoms or asserted state, zero counters, eager propagation off — but keeps
+// its storage: the adjacency and per-node atom lists, the cleared atom map
+// and the search scratch. GrowTo then re-extends into that storage, so a
+// theory serving many instances in turn is Reset between them instead of
+// being rebuilt.
+func (t *Theory) Reset() {
+	clear(t.mark)
+	for i := range t.adj {
+		t.adj[i] = t.adj[i][:0]
+		t.atomsByNode[i] = t.atomsByNode[i][:0]
+	}
+	clear(t.atoms)
+	clear(t.dirty)
+	*t = Theory{
+		adj:         t.adj[:0],
+		atoms:       t.atoms,
+		atomOrder:   t.atomOrder[:0],
+		atomsByNode: t.atomsByNode[:0],
+		trail:       t.trail[:0],
+		mark:        t.mark[:0],
+		parentNode:  t.parentNode[:0],
+		parentLit:   t.parentLit[:0],
+		queue:       t.queue[:0],
+		dirty:       t.dirty,
+		scratch:     t.scratch[:0],
+		visit:       t.visit[:0],
+	}
 }
 
 // NumEvents returns the number of events the theory currently covers.
@@ -100,13 +126,23 @@ func (t *Theory) GrowTo(n int) {
 	if n <= t.n {
 		return
 	}
-	grow := n - t.n
-	t.adj = append(t.adj, make([][]edge, grow)...)
-	t.atomsByNode = append(t.atomsByNode, make([][]sat.Var, grow)...)
-	t.mark = append(t.mark, make([]int32, grow)...)
-	t.parentNode = append(t.parentNode, make([]int32, grow)...)
-	t.parentLit = append(t.parentLit, make([]sat.Lit, grow)...)
+	// Per-node lists beyond the current length are empty (fresh, or
+	// truncated by Reset), so extending within capacity reuses them.
+	t.adj = extend(t.adj, n)
+	t.atomsByNode = extend(t.atomsByNode, n)
+	t.mark = extend(t.mark, n)
+	t.parentNode = extend(t.parentNode, n)
+	t.parentLit = extend(t.parentLit, n)
 	t.n = n
+}
+
+// extend returns s lengthened to n. Elements past the old length keep what
+// the backing array holds there: zero values, or storage a Reset left empty.
+func extend[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }
 
 // SetEagerPropagation toggles eager theory propagation: after each batch of
@@ -130,34 +166,7 @@ func (t *Theory) AddFixedEdge(a, b int32) {
 // FixedAcyclic reports whether the fixed-edge subgraph is acyclic. A cyclic
 // program order means the encoder produced garbage; callers should treat it
 // as an error, not an unsat verdict.
-func (t *Theory) FixedAcyclic() bool {
-	state := make([]int8, t.n) // 0 unvisited, 1 on stack, 2 done
-	var visit func(u int32) bool
-	visit = func(u int32) bool {
-		state[u] = 1
-		for _, e := range t.adj[u] {
-			if e.lit != sat.LitUndef {
-				continue
-			}
-			switch state[e.to] {
-			case 1:
-				return false
-			case 0:
-				if !visit(e.to) {
-					return false
-				}
-			}
-		}
-		state[u] = 2
-		return true
-	}
-	for u := int32(0); u < int32(t.n); u++ {
-		if state[u] == 0 && !visit(u) {
-			return false
-		}
-	}
-	return true
-}
+func (t *Theory) FixedAcyclic() bool { return t.acyclic(true) }
 
 // Acyclic reports whether the full current graph — fixed edges plus the
 // edges of currently asserted atoms — is acyclic. The incremental path calls
@@ -165,29 +174,37 @@ func (t *Theory) FixedAcyclic() bool {
 // contradicts a newly fixed order closes a cycle the per-assert check can
 // never see again (the atom is already on the trail), so the caller must
 // treat a cyclic result as a root-level unsatisfiability.
-func (t *Theory) Acyclic() bool {
-	state := make([]int8, t.n) // 0 unvisited, 1 on stack, 2 done
-	var visit func(u int32) bool
-	visit = func(u int32) bool {
-		state[u] = 1
-		for _, e := range t.adj[u] {
-			switch state[e.to] {
-			case 1:
-				return false
-			case 0:
-				if !visit(e.to) {
-					return false
-				}
-			}
-		}
-		state[u] = 2
-		return true
-	}
+func (t *Theory) Acyclic() bool { return t.acyclic(false) }
+
+// acyclic runs a DFS cycle check over the fixed edges, or over every edge
+// when fixedOnly is false, with its visit state in theory scratch.
+func (t *Theory) acyclic(fixedOnly bool) bool {
+	t.visit = extend(t.visit[:0], t.n)
+	clear(t.visit) // 0 unvisited, 1 on stack, 2 done
 	for u := int32(0); u < int32(t.n); u++ {
-		if state[u] == 0 && !visit(u) {
+		if t.visit[u] == 0 && !t.visitAcyclic(u, fixedOnly) {
 			return false
 		}
 	}
+	return true
+}
+
+func (t *Theory) visitAcyclic(u int32, fixedOnly bool) bool {
+	t.visit[u] = 1
+	for _, e := range t.adj[u] {
+		if fixedOnly && e.lit != sat.LitUndef {
+			continue
+		}
+		switch t.visit[e.to] {
+		case 1:
+			return false
+		case 0:
+			if !t.visitAcyclic(e.to, fixedOnly) {
+				return false
+			}
+		}
+	}
+	t.visit[u] = 2
 	return true
 }
 

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -288,5 +289,74 @@ func TestQuickConflictIsRealCycle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// exercise drives a theory over n events through fixed edges, atoms,
+// assertions (some conflicting), a pop and an eager propagation round, and
+// records every answer and counter.
+func exercise(th *Theory, rng *rand.Rand, n int) []any {
+	th.GrowTo(n)
+	var out []any
+	for i := 0; i+1 < n; i += 3 {
+		th.AddFixedEdge(int32(i), int32(i+1))
+	}
+	out = append(out, th.FixedAcyclic())
+	var vars []sat.Var
+	for v := sat.Var(0); int(v) < 2*n; v++ {
+		a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if a == b {
+			continue
+		}
+		th.RegisterAtom(v, a, b)
+		vars = append(vars, v)
+	}
+	out = append(out, th.FixedImplications())
+	th.SetEagerPropagation(n%2 == 0)
+	for i, v := range vars {
+		confl := th.Assert(sat.MkLit(v, rng.Intn(2) == 1))
+		out = append(out, append([]sat.Lit(nil), confl...), len(th.Propagate()))
+		if i == len(vars)/2 {
+			th.PopToCount(th.AssertedCount() / 2)
+		}
+	}
+	return append(out, th.Acyclic(), th.AssertedCount(), th.Stats())
+}
+
+// TestResetMatchesNew: a theory Reset after serving a larger or a smaller
+// instance answers every query exactly like New(0) does.
+func TestResetMatchesNew(t *testing.T) {
+	for i, sizes := range [][2]int{{30, 12}, {5, 20}, {17, 17}, {40, 40}} {
+		th := New(0)
+		// The last pair repeats the same instance, so every search after
+		// the Reset meets the search marks the first run left behind.
+		first := int64(1)
+		if i == 3 {
+			first = 2
+		}
+		exercise(th, rand.New(rand.NewSource(first)), sizes[0])
+		th.Reset()
+		// GrowTo extends into retained storage, so everything within it
+		// must be as a new theory's: no search marks, no edges, no atoms.
+		for i, m := range th.mark[:cap(th.mark)] {
+			if m != 0 {
+				t.Fatalf("sizes %v: node %d keeps search mark %d after Reset", sizes, i, m)
+			}
+		}
+		for i, edges := range th.adj[:cap(th.adj)] {
+			if len(edges) != 0 {
+				t.Fatalf("sizes %v: node %d keeps %d edges after Reset", sizes, i, len(edges))
+			}
+		}
+		for i, atoms := range th.atomsByNode[:cap(th.atomsByNode)] {
+			if len(atoms) != 0 {
+				t.Fatalf("sizes %v: node %d keeps %d atoms after Reset", sizes, i, len(atoms))
+			}
+		}
+		got := fmt.Sprint(exercise(th, rand.New(rand.NewSource(2)), sizes[1]))
+		want := fmt.Sprint(exercise(New(0), rand.New(rand.NewSource(2)), sizes[1]))
+		if got != want {
+			t.Fatalf("sizes %v: Reset theory differs from New:\n got  %s\n want %s", sizes, got, want)
+		}
 	}
 }

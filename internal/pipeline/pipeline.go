@@ -255,6 +255,18 @@ func (r Result) Verdict() Verdict {
 // instance too, for callers that read the model afterwards (witnesses);
 // the instance is nil when the rg stage decided the run. On error the
 // result holds what the stages before the failure measured.
+//
+// The instance belongs to the caller. Its solving storage — the Builder
+// with its solver, ordering theory, name table and model, and the decide
+// stage's classification and decider — stays valid until the caller calls
+// vc.Release, which recycles it for the next instance. Once Release has
+// run, the Builder, Builder.Names, model values (Value, BVValue) and
+// VarName are invalid, so the check stage and witness extraction must run
+// before it; Run's own check stage does. The recorded proof Trace
+// (vc.Proof), Events and Stats stay the caller's. A caller that only needs
+// the Result releases the instance at once (zpre.Verify, harness.RunOne);
+// one that reads the model later keeps it and never releases it, and the
+// instance is then garbage-collected like any other value.
 func Run(p *cprog.Program, opts Options) (Result, *encode.VC, error) {
 	if opts.Unroll <= 0 {
 		opts.Unroll = 1
@@ -423,8 +435,13 @@ func (o Options) EncodeOptions(ranges map[string]dataflow.Interval) encode.Optio
 // must-ordered — unit propagation from the level-0 fixed edges forces
 // them, so deciding them early is pure search noise. The other strategies
 // ignore both feeds.
+//
+// The VarInfo table and the decider live in the instance's decide
+// workspace (encode.VC.DecideWorkspace): they are valid until the next
+// Decide on the same instance or its Release.
 func Decide(vc *encode.VC, opts Options) ([]core.VarInfo, sat.Decider) {
-	infos := core.ClassifyNames(vc.Builder.Names())
+	ws := vc.DecideWorkspace()
+	infos := ws.ClassifyNames(vc.Builder.Names())
 	cfg := core.Config{
 		Seed:             opts.Seed,
 		Polarity:         opts.Polarity,
@@ -443,7 +460,7 @@ func Decide(vc *encode.VC, opts Options) ([]core.VarInfo, sat.Decider) {
 			}
 		}
 	}
-	if dec := core.NewDecider(opts.Strategy, infos, cfg); dec != nil {
+	if dec := ws.NewDecider(opts.Strategy, infos, cfg); dec != nil {
 		return infos, dec
 	}
 	return infos, nil // an untyped nil, so the solver sees no decider

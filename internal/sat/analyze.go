@@ -3,12 +3,13 @@ package sat
 // analyze performs first-UIP conflict analysis on the conflicting clause
 // (an arena ref, or theoryConflRef for a conflict held in tempConfl) and
 // returns the learnt clause (asserting literal first, a literal of the
-// second highest level at position 1) and the backjump level. Must be
-// called at decision level > 0 with every literal of the conflict false.
+// second highest level at position 1) and the backjump level. The clause
+// lives in solver scratch until the next analysis. Must be called at
+// decision level > 0 with every literal of the conflict false.
 func (s *Solver) analyze(confl ClauseRef) (learnt []Lit, btLevel int) {
 	pathC := 0
 	p := LitUndef
-	learnt = append(learnt, LitUndef) // slot for the asserting literal
+	learnt = append(s.learntBuf[:0], LitUndef) // slot for the asserting literal
 	idx := len(s.trail) - 1
 	c := confl
 
@@ -84,6 +85,7 @@ func (s *Solver) analyze(confl ClauseRef) (learnt []Lit, btLevel int) {
 
 	// Find the backjump level: the second-highest decision level.
 	if len(learnt) == 1 {
+		s.learntBuf = learnt
 		return learnt, 0
 	}
 	maxI := 1
@@ -93,6 +95,7 @@ func (s *Solver) analyze(confl ClauseRef) (learnt []Lit, btLevel int) {
 		}
 	}
 	learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
+	s.learntBuf = learnt
 	return learnt, int(s.level[learnt[1].Var()])
 }
 

@@ -61,7 +61,8 @@ func (o *occIndex) list(l Lit) []int32 { return o.items[o.start[l]:o.start[l+1]]
 
 func (s *Solver) buildOcc(cls []ipClause) occIndex {
 	nl := 2 * len(s.assigns)
-	start := make([]int32, nl+1)
+	start := resized(s.ip.start, nl+1)
+	clear(start)
 	total := 0
 	for i := range cls {
 		if cls[i].dead {
@@ -76,8 +77,8 @@ func (s *Solver) buildOcc(cls []ipClause) occIndex {
 	for i := 0; i < nl; i++ {
 		start[i+1] += start[i]
 	}
-	items := make([]int32, total)
-	cur := make([]int32, nl)
+	items := resized(s.ip.items, total)
+	cur := resized(s.ip.cur, nl)
 	copy(cur, start[:nl])
 	for i := range cls {
 		if cls[i].dead {
@@ -88,7 +89,27 @@ func (s *Solver) buildOcc(cls []ipClause) occIndex {
 			cur[l]++
 		}
 	}
+	s.ip.start, s.ip.items, s.ip.cur = start, items, cur
 	return occIndex{start: start, items: items}
+}
+
+// ipScratch is the working storage of an inprocessing round: the clause
+// working set, the occurrence index's arrays and the subsumption order. The
+// solver keeps it between rounds and across Reset, so a round allocates
+// nothing once the buffers have grown to the formula's size.
+type ipScratch struct {
+	cls               []ipClause
+	start, items, cur []int32
+	order             []int32
+}
+
+// resized returns buf with length n, reallocating only when its capacity
+// is short. The contents are not cleared.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // inprocess runs one inprocessing round. It returns false when the round
@@ -130,7 +151,7 @@ func (s *Solver) inprocess() bool {
 	subsumed0, strengthened0 := s.stats.SubsumedCls, s.stats.StrengthenedCls
 
 	// Build the working set, applying top-level simplification on the way.
-	cls := make([]ipClause, 0, len(s.clauses)+len(s.learnts))
+	cls := s.ip.cls[:0]
 	collect := func(refs []ClauseRef, problem bool) bool {
 		for _, r := range refs {
 			if s.ca.deleted(r) {
@@ -169,6 +190,7 @@ func (s *Solver) inprocess() bool {
 		}
 		okc = s.eliminateVars(&cls, occ)
 	}
+	s.ip.cls = cls[:0]
 
 	// Rebuild the clause lists from the working set (subsumption may have
 	// promoted learnt clauses to problem status) and restart propagation
@@ -300,7 +322,8 @@ func subsumes(c, d []Lit) (bool, Lit) {
 // bounded fixpoint. Returns false on a derived top-level conflict.
 func (s *Solver) subsumptionPass(cls []ipClause, occ *occIndex) bool {
 	// Process smaller clauses first: they are the likeliest subsumers.
-	order := make([]int32, len(cls))
+	order := resized(s.ip.order, len(cls))
+	s.ip.order = order
 	for i := range order {
 		order[i] = int32(i)
 	}

@@ -156,9 +156,13 @@ type Solver struct {
 	conflCore   []Lit
 	model       []LBool
 
-	tempConfl    []Lit // reusable container for theory conflict clauses
-	addScratch   []Lit // AddClause's simplified copy, empty between calls
-	proofScratch []Lit // AddClause's input as handed to Proof
+	tempConfl    []Lit    // reusable container for theory conflict clauses
+	learntBuf    []Lit    // analyze's learnt clause, valid until the next conflict
+	addScratch   []Lit    // AddClause's simplified copy, empty between calls
+	proofScratch []Lit    // AddClause's input as handed to Proof
+	modelBuf     []LBool  // storage saveModel copies the model into
+	compactBuf   []uint32 // the arena storage compaction last released
+	ip           ipScratch
 }
 
 // theoryConflRef is the sentinel conflict "clause" for theory conflicts,
@@ -176,16 +180,84 @@ type elimRecord struct {
 // clause-database reduction, inprocessing on, chronological backtracking
 // for backjumps longer than 100 levels.
 func New() *Solver {
-	s := &Solver{
-		varInc:          1.0,
-		varDecay:        0.95,
-		claInc:          1.0,
-		claDecay:        0.999,
-		ok:              true,
-		ChronoThreshold: 100,
-	}
-	s.order = newVarHeap(&s.activity)
+	s := new(Solver)
+	s.Reset()
 	return s
+}
+
+// Reset returns the solver to exactly the state New gives — no variables,
+// no clauses, zero counters and every configuration field at its default
+// (hooks, budgets and Proof cleared) — but keeps the capacity of its
+// storage: the clause arena, the clause lists, each literal's watch list,
+// the per-variable arrays, the decision heap, the trail and the scratch
+// buffers. A solver that serves many small instances in turn is Reset
+// between them instead of being rebuilt. Search from a Reset solver is
+// identical to search from a new one: the same decisions, propagations,
+// conflicts, models and cores. MemApprox counts live lengths, not
+// retained capacity, so MaxMemoryBytes behaves as on a new solver.
+func (s *Solver) Reset() {
+	// Truncated watch lists keep their storage for the literals NewVar
+	// hands out next (see NewVar); every list within the slice's capacity
+	// is empty between uses.
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
+	}
+	clear(s.elimStack)
+	order := s.order
+	if order == nil {
+		order = newVarHeap(&s.activity)
+	} else {
+		order.heap = order.heap[:0]
+		order.indices = order.indices[:0]
+	}
+	*s = Solver{
+		ChronoThreshold: 100,
+
+		ca:        arena{data: s.ca.data[:0]},
+		clauses:   s.clauses[:0],
+		learnts:   s.learnts[:0],
+		watches:   s.watches[:0],
+		watchSlab: s.watchSlab,
+
+		assigns:  s.assigns[:0],
+		polarity: s.polarity[:0],
+		reason:   s.reason[:0],
+		level:    s.level[:0],
+		occs:     s.occs[:0],
+		elim:     s.elim[:0],
+
+		trail:    s.trail[:0],
+		trailLim: s.trailLim[:0],
+		thCum:    s.thCum[:0],
+
+		activity: s.activity[:0],
+		order:    order,
+		varInc:   1.0,
+		varDecay: 0.95,
+		claInc:   1.0,
+		claDecay: 0.999,
+
+		seen:       s.seen[:0],
+		minimizeCl: s.minimizeCl[:0],
+		minStack:   s.minStack[:0],
+		minClear:   s.minClear[:0],
+		lbdSeen:    s.lbdSeen[:0],
+		localRefs:  s.localRefs[:0],
+
+		ok: true,
+
+		elimStack: s.elimStack[:0],
+
+		assumptions: s.assumptions[:0],
+
+		tempConfl:    s.tempConfl[:0],
+		learntBuf:    s.learntBuf[:0],
+		addScratch:   s.addScratch[:0],
+		proofScratch: s.proofScratch[:0],
+		modelBuf:     s.modelBuf[:0],
+		compactBuf:   s.compactBuf[:0],
+		ip:           s.ip,
+	}
 }
 
 // minVarCap is the per-variable arrays' first capacity (see growVars).
@@ -206,7 +278,14 @@ func (s *Solver) NewVar() Var {
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, 0)
 	s.lbdSeen = append(s.lbdSeen, 0)
-	s.watches = append(s.watches, nil, nil)
+	// Re-extend into retained capacity rather than appending nil lists, so
+	// a Reset solver reuses the watch lists' storage (the lists there are
+	// empty: see Reset).
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.order.growTo(int(v) + 1)
 	s.order.push(v)
 	return v
@@ -309,11 +388,13 @@ func (s *Solver) Stats() Stats { return s.stats }
 func (s *Solver) LastStop() StopReason { return s.stopped }
 
 // MemApprox returns the solver's approximate live allocation in bytes: the
-// clause arena, the per-variable bookkeeping arrays and the trail. It
-// deliberately over-counts a little rather than chasing exact allocator
-// numbers; MaxMemoryBytes compares against this figure.
+// clause arena, the per-variable bookkeeping arrays and the trail's
+// high-water mark. It deliberately over-counts a little rather than chasing
+// exact allocator numbers; MaxMemoryBytes compares against this figure. It
+// counts lengths, never capacities, so storage a Reset solver retains from
+// earlier instances does not count against the current one.
 func (s *Solver) MemApprox() int64 {
-	return int64(len(s.ca.data))*4 + int64(len(s.assigns))*128 + int64(cap(s.trail))*8
+	return int64(len(s.ca.data))*4 + int64(len(s.assigns))*128 + int64(s.stats.MaxTrail)*8
 }
 
 // Okay reports whether the clause set is still possibly satisfiable (false
@@ -442,7 +523,15 @@ func (s *Solver) watch(p Lit, w watcher) {
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) newDecisionLevel() { s.trailLim = append(s.trailLim, len(s.trail)) }
+// newDecisionLevel opens a decision level. Levels can outnumber variables
+// (an assumption that already holds still opens a level), so lbdSeen,
+// indexed by level, grows here as well as with the variables.
+func (s *Solver) newDecisionLevel() {
+	s.trailLim = append(s.trailLim, len(s.trail))
+	if len(s.lbdSeen) <= len(s.trailLim) {
+		s.lbdSeen = append(s.lbdSeen, 0)
+	}
+}
 
 func (s *Solver) uncheckedEnqueue(l Lit, from ClauseRef) {
 	v := l.Var()
@@ -878,7 +967,8 @@ const inprocessConflictGap = 4000
 // saved phase — the same value a decision on them would have produced — and
 // re-deriving BVE-eliminated variables from the reconstruction stack.
 func (s *Solver) saveModel() {
-	s.model = append([]LBool(nil), s.assigns...)
+	s.model = append(s.modelBuf[:0], s.assigns...)
+	s.modelBuf = s.model
 	for v := range s.model {
 		if s.model[v] == LUndef && !s.elim[v] {
 			if s.polarity[v] {
@@ -1339,7 +1429,15 @@ func (s *Solver) compact() {
 	if s.decisionLevel() != 0 {
 		panic("sat: compact during search")
 	}
-	dst := arena{data: make([]uint32, 0, len(s.ca.data)-s.ca.wasted)}
+	// The arena alternates between two buffers: the one the previous
+	// compaction released becomes this one's destination when it is big
+	// enough.
+	live := len(s.ca.data) - s.ca.wasted
+	buf := s.compactBuf[:0]
+	if cap(buf) < live {
+		buf = make([]uint32, 0, live)
+	}
+	dst := arena{data: buf}
 	relocList := func(refs []ClauseRef) []ClauseRef {
 		out := refs[:0]
 		for _, r := range refs {
@@ -1355,6 +1453,7 @@ func (s *Solver) compact() {
 	for i := range s.reason {
 		s.reason[i] = NullRef
 	}
+	s.compactBuf = s.ca.data[:0]
 	s.ca = dst
 	s.rebuildWatches()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sort"
+	"sync"
 	"time"
 
 	"zpre/internal/order"
@@ -18,7 +19,21 @@ type EventID int32
 // Builder constructs a verification-condition formula: Boolean structure and
 // bit-vector arithmetic are compiled to CNF immediately; ordering atoms over
 // events are registered with the ordering theory at Solve time.
+//
+// Every builder's storage comes from a package pool. Release returns it
+// there once the instance is finished with, so the next builder reuses the
+// solver's arena and watch lists, the ordering theory and the builder's own
+// tables instead of allocating them afresh. A released builder must not be
+// used again: every method then panics (see Release).
 type Builder struct {
+	// workspace is the pooled storage; nil once released, so any use of a
+	// released builder dereferences nil instead of reaching storage that
+	// now belongs to another instance.
+	*workspace
+}
+
+// workspace is a builder's reusable storage (see Builder.Release).
+type workspace struct {
 	solver  *sat.Solver
 	trueLit sat.Lit
 
@@ -37,7 +52,7 @@ type Builder struct {
 	atomVars   map[[2]int32]sat.Var // canonical (a,b) with a<b → atom var "a before b"
 	atomList   []registeredAtom
 
-	theory *order.Theory // built lazily on the first Solve, then reused
+	theory *order.Theory // fed by syncTheory at each Solve
 
 	// Incremental synchronisation state: how much of the event/edge/atom
 	// tables has been pushed into the theory, which fixed-implication units
@@ -57,6 +72,44 @@ type registeredAtom struct {
 	a, b int32
 }
 
+// pool recycles builder storage between instances.
+var pool = sync.Pool{New: func() any {
+	return &workspace{
+		solver:     sat.New(),
+		gates:      map[gateKey]sat.Lit{},
+		bvByName:   map[string]BV{},
+		atomVars:   map[[2]int32]sat.Var{},
+		theory:     order.New(0),
+		fixedUnits: map[sat.Var]bool{},
+	}
+}}
+
+// reset empties the workspace's tables and solver, keeping their storage.
+// Name strings are dropped so the pool does not keep them alive.
+func (w *workspace) reset() {
+	w.solver.Reset()
+	w.theory.Reset()
+	clear(w.gates)
+	clear(w.bvByName)
+	clear(w.atomVars)
+	clear(w.fixedUnits)
+	clear(w.names)
+	clear(w.eventNames)
+	*w = workspace{
+		solver:     w.solver,
+		gates:      w.gates,
+		names:      w.names[:0],
+		bvByName:   w.bvByName,
+		clause:     w.clause[:0],
+		eventNames: w.eventNames[:0],
+		fixedEdges: w.fixedEdges[:0],
+		atomVars:   w.atomVars,
+		atomList:   w.atomList[:0],
+		theory:     w.theory,
+		fixedUnits: w.fixedUnits,
+	}
+}
+
 // NewBuilder returns an empty formula builder.
 func NewBuilder() *Builder {
 	bd, _ := newBuilder(false)
@@ -65,26 +118,41 @@ func NewBuilder() *Builder {
 
 // NewBuilderWithProof returns a builder whose solver records its inference
 // trace; after an unsat Solve, CheckProof validates the trace independently.
+// The trace belongs to the caller and stays valid after Release.
 func NewBuilderWithProof() (*Builder, *proof.Trace) {
 	return newBuilder(true)
 }
 
 func newBuilder(withProof bool) (*Builder, *proof.Trace) {
-	s := sat.New()
+	return pool.Get().(*workspace).builder(withProof)
+}
+
+// builder starts a builder on the empty workspace w.
+func (w *workspace) builder(withProof bool) (*Builder, *proof.Trace) {
 	var tr *proof.Trace
 	if withProof {
 		tr = &proof.Trace{}
-		s.Proof = tr
+		w.solver.Proof = tr
 	}
-	t := s.NewVar() // variable 0 is the constant true
-	s.AddClause(sat.PosLit(t))
-	return &Builder{
-		solver:   s,
-		trueLit:  sat.PosLit(t),
-		gates:    map[gateKey]sat.Lit{},
-		bvByName: map[string]BV{},
-		atomVars: map[[2]int32]sat.Var{},
-	}, tr
+	t := w.solver.NewVar() // variable 0 is the constant true
+	w.solver.AddClause(sat.PosLit(t))
+	w.trueLit = sat.PosLit(t)
+	return &Builder{w}, tr
+}
+
+// Release resets the builder and returns its storage to the pool for the
+// next NewBuilder. After Release the builder, its solver (Solver), its name
+// table (Names) and its model (Value, BVValue) are invalid, and any method
+// call panics; a recorded proof trace stays the caller's. Releasing twice
+// is a no-op.
+func (bd *Builder) Release() {
+	w := bd.workspace
+	if w == nil {
+		return
+	}
+	bd.workspace = nil
+	w.reset()
+	pool.Put(w)
 }
 
 // CheckProof validates a trace recorded by this builder's solver against an
@@ -322,16 +390,12 @@ type Result struct {
 // cyclic, which indicates an encoder bug rather than an unsatisfiable VC.
 var ErrInconsistentPO = errors.New("smt: fixed program order contains a cycle")
 
-// syncTheory builds the ordering theory on first use and, on later calls,
-// pushes any events, fixed edges and ordering atoms declared since the last
-// solve (the incremental-unrolling seam). Fixed-implication units are
-// re-derived after every growth step — a new fixed edge can decide an old
-// atom — and only not-yet-installed units are added to the solver.
+// syncTheory pushes into the ordering theory the events, fixed edges and
+// ordering atoms declared since the last solve (on later solves, the
+// incremental-unrolling seam). Fixed-implication units are re-derived
+// after every growth step — a new fixed edge can decide an old atom — and
+// only not-yet-installed units are added to the solver.
 func (bd *Builder) syncTheory() error {
-	if bd.theory == nil {
-		bd.theory = order.New(0)
-		bd.fixedUnits = make(map[sat.Var]bool)
-	}
 	th := bd.theory
 	if bd.pushedEvents == len(bd.eventNames) &&
 		bd.pushedFixed == len(bd.fixedEdges) &&

@@ -122,13 +122,23 @@ func ParseProgram(name, src string) (*cprog.Program, error) {
 // Options.Check the verdict is also validated independently, and a failed
 // validation is returned as an error — the solver may not vouch for itself.
 func Verify(p *cprog.Program, opts Options) (Report, error) {
-	res, _, err := pipeline.Run(p, opts)
+	res, vc, err := pipeline.Run(p, opts)
+	if vc != nil {
+		// The report copies everything it keeps: recycle the instance's
+		// solver, theory, builder and decide storage for the next query.
+		vc.Release()
+	}
 	if err == nil {
 		err = res.CheckErr
 	}
 	if err != nil {
 		return Report{}, err
 	}
+	return report(res), nil
+}
+
+// report renders a pipeline result as a Verify report.
+func report(res pipeline.Result) Report {
 	return Report{
 		Verdict:            res.Verdict(),
 		Status:             res.Status,
@@ -143,7 +153,7 @@ func Verify(p *cprog.Program, opts Options) (Report, error) {
 		RGProved:           res.RGProved,
 		RGStabilizeIters:   res.RGStabilizeIters,
 		RGSkippedPrefilter: res.RGSkippedPrefilter,
-	}, nil
+	}
 }
 
 // FindMinimalBound searches unroll bounds 1..maxBound for the smallest
@@ -208,6 +218,7 @@ func VerifyEach(p *cprog.Program, opts Options) ([]AssertReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer vc.Release()
 	_, decider := pipeline.Decide(vc, opts)
 	var out []AssertReport
 	for i, sel := range vc.Selectors {
